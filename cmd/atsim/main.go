@@ -287,7 +287,8 @@ func buildEngine(policy string, cpus int, topo cachesim.Topology, seed uint64, n
 // printMachineDetail renders per-CPU counters and bus traffic after a
 // verbose run.
 func printMachineDetail(m *machine.Machine, e *rt.Engine) {
-	idle := e.IdleCycles()
+	snap := e.Snapshot()
+	idle := snap.IdleCycles
 	fmt.Println("  per-CPU:")
 	for i := 0; i < m.NCPU(); i++ {
 		cpu := m.CPU(i)
@@ -298,7 +299,7 @@ func printMachineDetail(m *machine.Machine, e *rt.Engine) {
 	tr := m.MemoryTraffic()
 	fmt.Printf("  bus traffic: %d KB fills, %d KB writebacks\n",
 		tr.FillBytes/1024, tr.WritebackBytes/1024)
-	times := e.ThreadTimes()
+	times := snap.Threads
 	if len(times) > 5 {
 		times = times[:5]
 	}
@@ -362,7 +363,7 @@ func runFaults(appName, policy string, cpus int, topo cachesim.Topology, scale f
 	fmt.Printf("%s under %s on %d cpu(s), scale %.2f, faults %s:\n", appName, policy, cpus, scale, cfg)
 	fmt.Printf("  E-refs %d, E-misses %d, cycles %d\n", refs, misses, m.MaxCycles())
 	fmt.Println("  counter health:")
-	for _, h := range e.CounterHealth() {
+	for _, h := range e.Snapshot().Health {
 		fmt.Printf("    %s\n", h)
 	}
 	return nil

@@ -86,7 +86,7 @@ func runFaultScenario(cfg faulty.Config) (string, *rt.Engine, error) {
 	}
 	refs, _, misses := m.Totals()
 	fmt.Fprintf(&sb, "refs=%d misses=%d cycles=%d\n", refs, misses, m.MaxCycles())
-	for _, h := range e.CounterHealth() {
+	for _, h := range e.Snapshot().Health {
 		fmt.Fprintf(&sb, "%s streaks=%d/%d\n", h, h.StreakRejected, h.StreakClean)
 	}
 	return sb.String(), e, nil
@@ -105,7 +105,7 @@ func TestFaultMatrix(t *testing.T) {
 			if err := e.Scheduler().Check(); err != nil {
 				t.Errorf("scheduler invariants violated: %v", err)
 			}
-			health := e.CounterHealth()
+			health := e.Snapshot().Health
 			var rejected, quarantines uint64
 			for i, h := range health {
 				if h.Total() == 0 {
@@ -255,7 +255,7 @@ func TestFaultyZeroConfigIsBitTransparent(t *testing.T) {
 	if bare != wrapped {
 		t.Errorf("zero-fault wrapper changed the run:\n--- bare\n%s\n--- wrapped\n%s", bare, wrapped)
 	}
-	for _, h := range wrappedEngine.CounterHealth() {
+	for _, h := range wrappedEngine.Snapshot().Health {
 		if h.Rejected != 0 || h.Quarantines != 0 || h.Quarantined {
 			t.Errorf("healthy substrate produced rejections: %s", h)
 		}

@@ -34,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -283,26 +282,6 @@ func (e *Engine) Graph() *annot.Graph { return e.graph }
 
 // Observer returns the attached observability observer, or nil.
 func (e *Engine) Observer() *obs.Observer { return e.obs }
-
-// IdleCycles returns the per-CPU cycles spent parked with nothing to
-// run.
-//
-// Deprecated: use Snapshot, which returns every accounting view in one
-// consistent copy. Kept for compatibility.
-func (e *Engine) IdleCycles() []uint64 { return append([]uint64(nil), e.idleCycles...) }
-
-// Dispatches returns the per-CPU context-switch counts.
-//
-// Deprecated: use Snapshot. Kept for compatibility.
-func (e *Engine) Dispatches() []uint64 { return append([]uint64(nil), e.dispatches...) }
-
-// CounterHealth returns the per-CPU counter-health accounting: how
-// every interval reading was classified and every quarantine/recovery
-// transition. On a healthy substrate every reading is OK and no CPU is
-// ever quarantined.
-//
-// Deprecated: use Snapshot. Kept for compatibility.
-func (e *Engine) CounterHealth() []stats.CounterHealth { return e.health.snapshot() }
 
 // totalDispatches sums the per-CPU dispatch counts.
 func (e *Engine) totalDispatches() uint64 {
@@ -708,32 +687,15 @@ func (e *Engine) step(p int, t *T) {
 	e.handle(p, t, req)
 }
 
-// ThreadTime is one thread's accumulated execution accounting.
+// ThreadTime is one thread's accumulated execution accounting. The
+// engine charges each thread the cycles its processor's clock advanced
+// between its dispatch and its block — the same interval the PICs
+// cover.
 type ThreadTime struct {
 	ID         mem.ThreadID
 	Name       string
 	Cycles     uint64 // processor cycles while dispatched
 	Dispatches uint64
-}
-
-// ThreadTimes returns per-thread execution accounting for every thread
-// ever created, sorted by descending cycles (ties by ID). The engine
-// charges each thread the cycles its processor's clock advanced between
-// its dispatch and its block — the same interval the PICs cover.
-//
-// Deprecated: use Snapshot. Kept for compatibility.
-func (e *Engine) ThreadTimes() []ThreadTime {
-	out := make([]ThreadTime, 0, len(e.threads))
-	for _, t := range e.threads {
-		out = append(out, ThreadTime{ID: t.id, Name: t.name, Cycles: t.cycles, Dispatches: t.dispatchCount})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycles != out[j].Cycles {
-			return out[i].Cycles > out[j].Cycles
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // blockCurrent performs the scheduling-point bookkeeping when the thread

@@ -181,6 +181,8 @@ func TestObsWiringEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSnapshotMatchesAccessors: Snapshot agrees with the engine state
+// it copies, and is a copy — mutating it leaves the engine untouched.
 func TestSnapshotMatchesAccessors(t *testing.T) {
 	e := obsWorkload(t, nil)
 	mustRun(t, e)
@@ -188,16 +190,21 @@ func TestSnapshotMatchesAccessors(t *testing.T) {
 	if s.Policy != "LFF" || s.NCPU != 2 || s.Steps == 0 {
 		t.Errorf("snapshot header: %+v", s)
 	}
-	if !reflect.DeepEqual(s.Dispatches, e.Dispatches()) ||
-		!reflect.DeepEqual(s.IdleCycles, e.IdleCycles()) ||
-		!reflect.DeepEqual(s.Threads, e.ThreadTimes()) ||
-		!reflect.DeepEqual(s.Health, e.CounterHealth()) {
-		t.Error("snapshot disagrees with the accessors it consolidates")
+	if !reflect.DeepEqual(s.Dispatches, e.dispatches) ||
+		!reflect.DeepEqual(s.IdleCycles, e.idleCycles) ||
+		!reflect.DeepEqual(s.Health, e.health.snapshot()) ||
+		len(s.Threads) != len(e.threads) {
+		t.Error("snapshot disagrees with the engine state it copies")
 	}
 	if s.SchedOps != e.Scheduler().Ops() || s.Escapes != e.Scheduler().Escapes() {
 		t.Error("snapshot scheduler stats disagree")
 	}
 	if s.TotalDispatches() != e.totalDispatches() {
 		t.Error("TotalDispatches disagrees")
+	}
+	s.Dispatches[0]++
+	s.Threads[0].Cycles++
+	if again := e.Snapshot(); reflect.DeepEqual(again.Dispatches, s.Dispatches) || reflect.DeepEqual(again.Threads, s.Threads) {
+		t.Error("mutating a snapshot reached the engine")
 	}
 }

@@ -242,7 +242,7 @@ func TestThreadTimes(t *testing.T) {
 		th.Join(small)
 	}, SpawnOpts{Name: "main"})
 	mustRun(t, e)
-	times := e.ThreadTimes()
+	times := e.Snapshot().Threads
 	if len(times) != 3 {
 		t.Fatalf("threads = %d", len(times))
 	}

@@ -536,7 +536,7 @@ func TestDispatchCounts(t *testing.T) {
 		}
 	}, SpawnOpts{})
 	mustRun(t, e)
-	d := e.Dispatches()
+	d := e.Snapshot().Dispatches
 	if d[0] < 6 { // initial dispatch + one per yield
 		t.Errorf("dispatches = %v", d)
 	}

@@ -1,14 +1,13 @@
 package rt
 
-// This file is the engine's consolidated accounting surface. The
-// scattered per-view accessors (IdleCycles, Dispatches, ThreadTimes,
-// CounterHealth) grew one PR at a time and force callers into four
-// calls for one report; Snapshot returns every view in a single
-// consistent copy and is what the facade, the experiment driver and
-// the observability exporters consume. The old accessors remain for
-// compatibility but are deprecated.
+// This file is the engine's consolidated accounting surface: Snapshot
+// returns every view of a run's accounting in a single consistent copy
+// and is what the facade, the experiment driver, the CLI and the
+// observability exporters consume.
 
 import (
+	"sort"
+
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -28,8 +27,8 @@ type Snapshot struct {
 	// IdleCycles is the per-CPU cycles spent parked with nothing to
 	// run.
 	IdleCycles []uint64
-	// Threads is the per-thread execution accounting, sorted by
-	// descending cycles (ties by ID).
+	// Threads is the per-thread execution accounting for every thread
+	// ever created, sorted by descending cycles (ties by ID).
 	Threads []ThreadTime
 	// Health is the per-CPU counter-health accounting (sanitizer
 	// verdict counts and quarantine transitions).
@@ -54,13 +53,23 @@ func (s Snapshot) TotalDispatches() uint64 {
 // any point (mid-run it reflects the story so far); typically read
 // after Run returns.
 func (e *Engine) Snapshot() Snapshot {
+	threads := make([]ThreadTime, 0, len(e.threads))
+	for _, t := range e.threads {
+		threads = append(threads, ThreadTime{ID: t.id, Name: t.name, Cycles: t.cycles, Dispatches: t.dispatchCount})
+	}
+	sort.Slice(threads, func(i, j int) bool {
+		if threads[i].Cycles != threads[j].Cycles {
+			return threads[i].Cycles > threads[j].Cycles
+		}
+		return threads[i].ID < threads[j].ID
+	})
 	return Snapshot{
 		Policy:     e.sched.PolicyName(),
 		NCPU:       len(e.cpus),
 		Steps:      e.steps,
 		Dispatches: append([]uint64(nil), e.dispatches...),
 		IdleCycles: append([]uint64(nil), e.idleCycles...),
-		Threads:    e.ThreadTimes(),
+		Threads:    threads,
 		Health:     e.health.snapshot(),
 		SchedOps:   e.sched.Ops(),
 		Escapes:    e.sched.Escapes(),

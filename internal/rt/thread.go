@@ -117,7 +117,7 @@ type T struct {
 	// mutex acquisition (barging semantics; see Engine.unlock).
 	retryLock *Mutex
 	// cycles/dispatchClock/dispatchCount implement per-thread CPU-time
-	// accounting (see Engine.ThreadTimes).
+	// accounting (see Snapshot.Threads).
 	cycles        uint64
 	dispatchClock uint64
 	dispatchCount uint64

@@ -1,19 +1,18 @@
 package server
 
-import "sync"
+import "encoding/json"
 
-// eventLogCap bounds each session's event ring. Old events fall off
+// eventLogCap bounds each session's lifecycle log. Old events fall off
 // the front; Seq numbers stay monotonic so a consumer can detect the
 // gap.
 const eventLogCap = 256
 
 // Event is one observable session transition, streamed as NDJSON from
 // the events endpoint. A "gap" event is synthesized (not stored) when
-// a reader's cursor falls behind the ring: Dropped counts the events
-// lost between the cursor and the oldest retained event, and Seq is
-// the last lost sequence number so followers advance past the hole —
-// overflow is always reported, never silent (mirroring the engine
-// stream's gap records).
+// a reader's cursor falls behind the log: Dropped counts the events
+// lost between the cursor and the next retained event, and Seq is the
+// last lost sequence number so followers advance past the hole —
+// overflow is always reported, never silent.
 type Event struct {
 	Seq        uint64 `json:"seq"`
 	Kind       string `json:"kind"` // created, live, boundary, evicted, resumed, done, failed, flight_dumped, deleted, gap, migrate_prepare, migrate_transfer, migrate_retry, migrate_commit, migrate_abort, migrated_in
@@ -23,51 +22,34 @@ type Event struct {
 	Dropped    uint64 `json:"dropped,omitempty"`
 }
 
-// eventLog is a bounded ring of events plus a broadcast channel that
-// followers wait on: append closes the current channel and installs a
-// fresh one, so any number of followers wake without the log tracking
-// them individually.
-type eventLog struct {
-	mu     sync.Mutex
-	cap    int
-	seq    uint64
-	buf    []Event
-	notify chan struct{}
+// wireEvents appends a lifecycle entry to out in wire form — its Seq
+// filled in, led by the gap record when lost events precede it.
+func wireEvents(out []Event, e seqEntry[Event], lost uint64) []Event {
+	if lost > 0 {
+		out = append(out, Event{Seq: e.seq - 1, Kind: "gap", Dropped: lost})
+	}
+	e.v.Seq = e.seq
+	return append(out, e.v)
 }
 
-func newEventLog(capacity int) *eventLog {
-	return &eventLog{cap: capacity, notify: make(chan struct{})}
+// lifecycle returns the retained lifecycle log in wire form.
+func lifecycle(l *seqLog[Event]) []Event {
+	entries, _, _, _ := l.since(0)
+	out := make([]Event, 0, len(entries)+1)
+	var after uint64
+	for _, e := range entries {
+		out = wireEvents(out, e, e.seq-1-after)
+		after = e.seq
+	}
+	return out
 }
 
-func (l *eventLog) append(ev Event) {
-	l.mu.Lock()
-	l.seq++
-	ev.Seq = l.seq
-	l.buf = append(l.buf, ev)
-	if len(l.buf) > l.cap {
-		l.buf = l.buf[len(l.buf)-l.cap:]
+// appendEventLine renders a lifecycle entry as /events NDJSON lines.
+func appendEventLine(buf []byte, e seqEntry[Event], lost uint64) []byte {
+	var pair [2]Event
+	for _, ev := range wireEvents(pair[:0], e, lost) {
+		line, _ := json.Marshal(ev) // strings and integers only: cannot fail
+		buf = append(append(buf, line...), '\n')
 	}
-	close(l.notify)
-	l.notify = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// since returns the buffered events with Seq > after, plus the channel
-// that will be closed at the next append. When events between after
-// and the oldest retained one already fell off the ring, the slice
-// leads with a synthetic gap event accounting for them.
-func (l *eventLog) since(after uint64) ([]Event, <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, ev := range l.buf {
-		if ev.Seq > after {
-			out = append(out, ev)
-		}
-	}
-	if len(out) > 0 && out[0].Seq > after+1 {
-		gap := Event{Seq: out[0].Seq - 1, Kind: "gap", Dropped: out[0].Seq - 1 - after}
-		out = append([]Event{gap}, out...)
-	}
-	return out, l.notify
+	return buf
 }

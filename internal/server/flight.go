@@ -11,7 +11,7 @@ import (
 
 // The flight recorder. Every session continuously buffers its recent
 // past — the published engine-event tail (obsLog) and the lifecycle
-// log (eventLog) — and on the failures worth a post-mortem the server
+// log (events) — and on the failures worth a post-mortem the server
 // dumps both to <id>.flight.json, atomically, next to the session's
 // manifest. Triggers:
 //
@@ -44,7 +44,9 @@ type flightDump struct {
 	// EngineEvents is the published engine-event tail in the /obs wire
 	// format, one object per line of the stream — the engine's last
 	// recorded moments before the trigger. EngineDropped counts the
-	// events before the tail that bounded buffers already shed.
+	// events up to the newest that the tail lacks — shed by a bounded
+	// buffer or overwritten before publish — so EngineDropped plus the
+	// tail's length is the newest seq.
 	EngineEvents  []json.RawMessage `json:"engine_events"`
 	EngineDropped uint64            `json:"engine_dropped,omitempty"`
 }
@@ -75,20 +77,13 @@ func (s *Server) dumpFlight(sess *Session, reason, detail string) {
 		DumpedAt: time.Now().UnixNano(),
 	}
 	sess.mu.Unlock()
-	d.Lifecycle, _ = sess.events.since(0)
-	if d.Lifecycle == nil {
-		d.Lifecycle = []Event{}
-	}
-	entries, _, _ := sess.obsLog.since(0)
+	d.Lifecycle = lifecycle(sess.events)
+	var entries []seqEntry[obs.Event]
+	entries, d.EngineDropped, _, _ = sess.obsLog.since(0)
 	d.EngineEvents = make([]json.RawMessage, 0, len(entries))
 	var line []byte
-	for i, e := range entries {
-		if i == 0 {
-			// Everything before the retained tail is gone from memory;
-			// account for it exactly as the live stream would.
-			d.EngineDropped = e.seq - 1
-		}
-		line = obs.AppendEventNDJSON(line[:0], e.seq, e.ev)
+	for _, e := range entries {
+		line = obs.AppendEventNDJSON(line[:0], e.seq, e.v)
 		d.EngineEvents = append(d.EngineEvents, json.RawMessage(bytes.Clone(bytes.TrimSuffix(line, []byte("\n")))))
 	}
 	if err := s.store.writeFlight(sess.ID, d); err != nil {
@@ -96,7 +91,7 @@ func (s *Server) dumpFlight(sess *Session, reason, detail string) {
 		return
 	}
 	s.met.flightDumps.Inc(s.shard(sess.ID))
-	sess.events.append(Event{Kind: "flight_dumped", Detail: reason})
+	sess.events.push(Event{Kind: "flight_dumped", Detail: reason})
 }
 
 // Flight returns the session's flight record, or ErrNotFound when the

@@ -315,45 +315,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleEvents streams the session's event log as NDJSON. Without
+// handleEvents streams the session's lifecycle log as NDJSON. Without
 // ?follow it returns the buffered tail and closes; with ?follow=1 it
-// keeps streaming new events until the client goes away or the server
-// drains.
+// keeps streaming until the session is deleted or migrated away, the
+// client goes away, or the server drains.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	follow := r.URL.Query().Get("follow") != ""
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var after uint64
-	for {
-		evs, notify, err := s.Events(id, after)
-		if err != nil {
-			if after == 0 {
-				writeError(w, r, err)
-			}
-			return
-		}
-		for _, ev := range evs {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			after = ev.Seq
-		}
-		if !follow {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			return
-		}
+	sess, err := s.lookup(r.PathValue("id"))
+	if err != nil {
+		writeError(w, r, err)
+		return
 	}
+	streamLog(s, w, r, sess.events, 0, appendEventLine)
 }
 
 // handleObs streams the session's published engine events as NDJSON —
@@ -361,11 +333,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // its global sequence number (see internal/obs NDJSON docs). ?after=N
 // resumes past sequence N; ?follow=1 keeps streaming until the session
 // reaches a terminal state, the client goes away, or the server
-// drains. Events the bounded log shed before the reader saw them
-// surface as an explicit {"kind":"gap","dropped":N} line.
+// drains. Lost events surface as an explicit {"kind":"gap","dropped":N}
+// line.
 func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	follow := r.URL.Query().Get("follow") != ""
 	var after uint64
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -375,34 +345,42 @@ func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
+	sess, err := s.lookup(r.PathValue("id"))
+	if err != nil {
+		writeError(w, r, err)
+		return
+	}
+	streamLog(s, w, r, sess.obsLog, after, func(buf []byte, e seqEntry[obs.Event], lost uint64) []byte {
+		if lost > 0 {
+			buf = obs.AppendGapNDJSON(buf, lost)
+		}
+		return obs.AppendEventNDJSON(buf, e.seq, e.v)
+	})
+}
+
+// streamLog is the one NDJSON follow loop behind /events and /obs: it
+// writes the entries of l past the cursor after, and with ?follow=1
+// keeps writing each new batch until l closes, the client goes away,
+// or the server drains. line renders one entry in the endpoint's wire
+// form; lost counts the sequence numbers l lost just before it, which
+// line must report as a gap — never skip silently.
+func streamLog[T any](s *Server, w http.ResponseWriter, r *http.Request, l *seqLog[T], after uint64,
+	line func(buf []byte, e seqEntry[T], lost uint64) []byte) {
+	follow := r.URL.Query().Get("follow") != ""
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	wrote := false
 	var buf []byte
 	for {
-		entries, notify, closed, err := s.ObsEvents(id, after)
-		if err != nil {
-			if !wrote {
-				writeError(w, r, err)
-			}
-			return
-		}
+		entries, _, notify, closed := l.since(after)
 		buf = buf[:0]
 		for _, e := range entries {
-			if e.seq > after+1 {
-				// The log shed events between the reader's cursor and its
-				// oldest retained entry; the discontinuity is reported,
-				// never skipped silently.
-				buf = obs.AppendGapNDJSON(buf, e.seq-after-1)
-			}
-			buf = obs.AppendEventNDJSON(buf, e.seq, e.ev)
+			buf = line(buf, e, e.seq-1-after)
 			after = e.seq
 		}
 		if len(buf) > 0 {
 			if _, err := w.Write(buf); err != nil {
 				return
 			}
-			wrote = true
 		}
 		if !follow || closed {
 			return

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newTestAPI(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
@@ -189,5 +190,65 @@ func TestHTTPEvents(t *testing.T) {
 	}
 	if len(kinds) == 0 || kinds[0] != "created" || kinds[len(kinds)-1] != "done" {
 		t.Errorf("event kinds = %v, want created ... done", kinds)
+	}
+}
+
+// TestEventsFollowEndsAtDelete: a /events follower sees the session's
+// final "deleted" event and then the stream ends, rather than stopping
+// silently at "done" when the session leaves the table.
+func TestEventsFollowEndsAtDelete(t *testing.T) {
+	_, ts := newTestAPI(t, nil)
+	var info Info
+	doJSON(t, "POST", ts.URL+"/v1/sessions", testSessionConfig(42), &info)
+	doJSON(t, "POST", ts.URL+"/v1/sessions/"+info.ID+"/step", map[string]uint64{"quanta": 0}, nil)
+
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + info.ID + "/events?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	kinds := make(chan string, 1024)
+	go func() {
+		defer close(kinds)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev Event
+			if json.Unmarshal(sc.Bytes(), &ev) != nil {
+				kinds <- "bad line: " + sc.Text()
+				return
+			}
+			kinds <- ev.Kind
+		}
+	}()
+	// Wait until the follower has caught up with the completed run.
+	timeout := time.After(30 * time.Second)
+	for caughtUp := false; !caughtUp; {
+		select {
+		case k, ok := <-kinds:
+			if !ok {
+				t.Fatal("stream ended before the session was deleted")
+			}
+			caughtUp = k == "done"
+		case <-timeout:
+			t.Fatal("follower never saw done")
+		}
+	}
+	if resp := doJSON(t, "DELETE", ts.URL+"/v1/sessions/"+info.ID, nil, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE = %d", resp.StatusCode)
+	}
+	var last string
+	for {
+		select {
+		case k, ok := <-kinds:
+			if !ok {
+				if last != "deleted" {
+					t.Fatalf("stream ended at %q, want deleted", last)
+				}
+				return
+			}
+			last = k
+		case <-timeout:
+			t.Fatalf("stream did not end after delete (last line %q)", last)
+		}
 	}
 }

@@ -171,10 +171,10 @@ func (s *Server) Migrate(ctx context.Context, id, target string) (MigrateResult,
 	if err := s.crash("source.push"); err != nil {
 		return MigrateResult{}, err
 	}
-	sess.events.append(Event{Kind: "migrate_transfer", Detail: tgt})
+	sess.events.push(Event{Kind: "migrate_transfer", Detail: tgt})
 	_, pushErr := s.peer.push(ctx, tgt, env, func(attempt int) {
 		if attempt > 1 {
-			sess.events.append(Event{Kind: "migrate_retry", Detail: fmt.Sprintf("transfer attempt %d", attempt)})
+			sess.events.push(Event{Kind: "migrate_retry", Detail: fmt.Sprintf("transfer attempt %d", attempt)})
 		}
 	})
 	if pushErr != nil {
@@ -199,7 +199,7 @@ func (s *Server) Migrate(ctx context.Context, id, target string) (MigrateResult,
 	}
 	d := time.Since(start)
 	s.met.migSeconds.Observe(shard, d.Seconds())
-	s.spans.add(span{name: "migrate", sess: id, req: RequestID(ctx), start: start, dur: d})
+	s.spans.push(span{name: "migrate", sess: id, req: RequestID(ctx), start: start, dur: d})
 	return s.migrateResult(sess, tgt), nil
 }
 
@@ -241,7 +241,7 @@ func (s *Server) prepareMigration(ctx context.Context, sess *Session, target str
 	sess.state = StateMigrating
 	sess.gen++
 	sess.mu.Unlock()
-	sess.events.append(Event{Kind: "migrate_prepare", Detail: target})
+	sess.events.push(Event{Kind: "migrate_prepare", Detail: target})
 	if snap != nil && !onDisk {
 		if err := s.store.writeSnapshot(sess.ID, snap); err != nil {
 			s.met.ioFailures.Inc(s.shard(sess.ID))
@@ -289,7 +289,7 @@ func (s *Server) buildEnvelope(sess *Session, epoch uint64) (*migrationEnvelope,
 		ObsPublished:  published,
 	}
 	for _, e := range tail {
-		env.ObsEvents = append(env.ObsEvents, obsWireEntry{Seq: e.seq, Ev: e.ev})
+		env.ObsEvents = append(env.ObsEvents, obsWireEntry{Seq: e.seq, Ev: e.v})
 	}
 	return env, nil
 }
@@ -344,7 +344,8 @@ func (s *Server) commitMigrated(sess *Session, target string, epoch uint64, deta
 		s.store.removeSnapshot(sess.ID)
 		s.store.removeIntent(sess.ID)
 	}
-	sess.events.append(Event{Kind: "migrate_commit", Detail: detail})
+	sess.events.push(Event{Kind: "migrate_commit", Detail: detail})
+	sess.events.close()
 	sess.obsLog.close()
 	s.met.migCommitted.Inc(s.shard(sess.ID))
 	return nil
@@ -382,7 +383,7 @@ func (s *Server) abortMigration(sess *Session, epoch uint64, reason string, fenc
 			// session must stay unable to migrate with a stale epoch until
 			// the burn is durable.
 			s.met.ioFailures.Inc(s.shard(sess.ID))
-			sess.events.append(Event{Kind: "migrate_abort", Detail: reason + " (epoch burn not durable: " + firstLine(err.Error()) + ")"})
+			sess.events.push(Event{Kind: "migrate_abort", Detail: reason + " (epoch burn not durable: " + firstLine(err.Error()) + ")"})
 			return
 		}
 	}
@@ -390,7 +391,7 @@ func (s *Server) abortMigration(sess *Session, epoch uint64, reason string, fenc
 	if deleted {
 		return
 	}
-	sess.events.append(Event{Kind: "migrate_abort", Detail: reason})
+	sess.events.push(Event{Kind: "migrate_abort", Detail: reason})
 	s.met.migAborted.Inc(s.shard(sess.ID))
 	if fenced {
 		s.met.migFenced.Inc(s.shard(sess.ID))
@@ -639,7 +640,7 @@ func (s *Server) acceptMigration(ctx context.Context, env *migrationEnvelope) (m
 
 	sess := s.installMigrated(man, len(env.Snapshot) > 0, existing)
 	sess.obsLog.preload(env.ObsPublished, wireToEntries(env.ObsEvents))
-	sess.events.append(Event{Kind: "migrated_in", Detail: env.Source,
+	sess.events.push(Event{Kind: "migrated_in", Detail: env.Source,
 		Boundaries: man.Boundaries, Cycle: man.Cycle})
 	s.met.migIn.Inc(shard)
 	return migrationAck{ID: env.ID, Epoch: env.Epoch}, nil
@@ -687,13 +688,13 @@ func (s *Server) installMigrated(man manifest, hasSnap bool, superseded *Session
 	return sess
 }
 
-func wireToEntries(wire []obsWireEntry) []obsEntry {
+func wireToEntries(wire []obsWireEntry) []seqEntry[obs.Event] {
 	if len(wire) == 0 {
 		return nil
 	}
-	out := make([]obsEntry, 0, len(wire))
+	out := make([]seqEntry[obs.Event], 0, len(wire))
 	for _, w := range wire {
-		out = append(out, obsEntry{seq: w.Seq, ev: w.Ev})
+		out = append(out, seqEntry[obs.Event]{seq: w.Seq, v: w.Ev})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out

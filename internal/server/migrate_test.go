@@ -158,14 +158,11 @@ func TestMigrateBasic(t *testing.T) {
 		t.Fatalf("step: %v", err)
 	}
 	// The obs cursor the destination must continue from.
-	entries, _, _, err := a.server().ObsEvents(info.ID, 0)
+	src, err := a.server().lookup(info.ID)
 	if err != nil {
-		t.Fatalf("obs before migrate: %v", err)
+		t.Fatalf("lookup before migrate: %v", err)
 	}
-	var cursor uint64
-	for _, e := range entries {
-		cursor = e.seq
-	}
+	cursor := src.obsLog.lastSeq()
 	if cursor == 0 {
 		t.Fatal("no published obs events before migration; test needs some")
 	}
@@ -214,10 +211,11 @@ func TestMigrateBasic(t *testing.T) {
 
 	// Obs continuity: the target's stream picks up exactly past the
 	// source's cursor, with no gap.
-	after, _, _, err := b.server().ObsEvents(info.ID, cursor)
+	dst, err := b.server().lookup(info.ID)
 	if err != nil {
 		t.Fatalf("obs on target: %v", err)
 	}
+	after, _, _, _ := dst.obsLog.since(cursor)
 	if len(after) == 0 {
 		t.Fatal("target published no obs events past the migrated cursor")
 	}
@@ -226,7 +224,7 @@ func TestMigrateBasic(t *testing.T) {
 	}
 
 	// Lifecycle events on both sides.
-	evs, _, err := a.server().Events(info.ID, 0)
+	evs, err := a.server().Events(info.ID)
 	if err != nil {
 		t.Fatalf("source events: %v", err)
 	}
@@ -241,7 +239,7 @@ func TestMigrateBasic(t *testing.T) {
 			t.Errorf("source event log lacks %q", want)
 		}
 	}
-	bevs, _, err := b.server().Events(info.ID, 0)
+	bevs, err := b.server().Events(info.ID)
 	if err != nil {
 		t.Fatalf("target events: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/machine"
@@ -170,60 +171,78 @@ func TestObsFollowEqualsBatch(t *testing.T) {
 	}
 }
 
-// TestObsStreamGapAccounting: with a tiny published-log cap the stream
-// must lead with an explicit gap whose count plus retained events
-// equals the run's total emission — nothing silently lost.
+// TestObsStreamGapAccounting: whichever bound sheds events — a tiny
+// published-log cap (one leading gap) or a tiny engine stream ring
+// overwriting events between publishes (interior gaps) — every loss
+// surfaces as an explicit gap line, and the gaps' counts plus the
+// retained events equal the run's total emission.
 func TestObsStreamGapAccounting(t *testing.T) {
-	_, ts := newTestAPI(t, func(c *Config) { c.ObsLogCap = 64 })
-	cfg := obsSessionConfig(303)
-	var info Info
-	doJSON(t, "POST", ts.URL+"/v1/sessions", cfg, &info)
-	doJSON(t, "POST", ts.URL+"/v1/sessions/"+info.ID+"/step", map[string]uint64{"quanta": 0}, nil)
+	cases := []struct {
+		name         string
+		logCap       int
+		obsRing      int
+		interior     bool   // want gaps after the first line too
+		wantRetained uint64 // 0 = don't pin
+	}{
+		{"log cap", 64, 1 << 17, false, 64},
+		{"stream ring", 1 << 17, 16, true, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestAPI(t, func(c *Config) { c.ObsLogCap = tc.logCap })
+			cfg := obsSessionConfig(303)
+			cfg.ObsRing = tc.obsRing
+			var info Info
+			doJSON(t, "POST", ts.URL+"/v1/sessions", cfg, &info)
+			doJSON(t, "POST", ts.URL+"/v1/sessions/"+info.ID+"/step", map[string]uint64{"quanta": 0}, nil)
 
-	body := fetchObs(t, ts.URL, info.ID, "")
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var (
-		lines   int
-		dropped uint64
-		first   struct {
-			Seq     uint64 `json:"seq"`
-			Kind    string `json:"kind"`
-			Dropped uint64 `json:"dropped"`
-		}
-		lastSeq uint64
-	)
-	for sc.Scan() {
-		lines++
-		var line struct {
-			Seq     uint64 `json:"seq"`
-			Kind    string `json:"kind"`
-			Dropped uint64 `json:"dropped"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		if lines == 1 {
-			first = line
-		}
-		if line.Kind == "gap" {
-			dropped += line.Dropped
-			if line.Seq != 0 {
-				t.Fatalf("gap record carries seq %d", line.Seq)
+			body := fetchObs(t, ts.URL, info.ID, "")
+			sc := bufio.NewScanner(bytes.NewReader(body))
+			sc.Buffer(make([]byte, 1<<20), 1<<20)
+			var lines, gaps, midGaps, events, dropped, lastSeq uint64
+			for sc.Scan() {
+				lines++
+				var line struct {
+					Seq     uint64 `json:"seq"`
+					Kind    string `json:"kind"`
+					Dropped uint64 `json:"dropped"`
+				}
+				if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+					t.Fatalf("line %d: %v", lines, err)
+				}
+				if line.Kind != "gap" {
+					events++
+					lastSeq = line.Seq
+					continue
+				}
+				if line.Seq != 0 {
+					t.Fatalf("gap record carries seq %d", line.Seq)
+				}
+				if line.Dropped == 0 {
+					t.Fatalf("line %d: gap with nothing dropped", lines)
+				}
+				gaps++
+				if lines > 1 {
+					midGaps++
+				}
+				dropped += line.Dropped
 			}
-		} else {
-			lastSeq = line.Seq
-		}
-	}
-	if first.Kind != "gap" || first.Dropped == 0 {
-		t.Fatalf("first line = %+v, want a leading gap (cap 64 must overflow)", first)
-	}
-	events := uint64(lines - 1) // all remaining lines are real events
-	if dropped+events != lastSeq {
-		t.Fatalf("accounting broken: %d dropped + %d retained != last seq %d", dropped, events, lastSeq)
-	}
-	if events != 64 {
-		t.Fatalf("retained %d events, want exactly the log cap 64", events)
+			if gaps == 0 {
+				t.Fatal("no gap line: the bound must overflow")
+			}
+			if tc.interior && midGaps == 0 {
+				t.Fatalf("%d gaps, none mid-stream; want interior gaps", gaps)
+			}
+			if !tc.interior && midGaps != 0 {
+				t.Fatalf("%d mid-stream gaps, want only a leading one", midGaps)
+			}
+			if dropped+events != lastSeq {
+				t.Fatalf("accounting broken: %d dropped + %d retained != last seq %d", dropped, events, lastSeq)
+			}
+			if tc.wantRetained != 0 && events != tc.wantRetained {
+				t.Fatalf("retained %d events, want exactly the log cap %d", events, tc.wantRetained)
+			}
+		})
 	}
 }
 
@@ -476,6 +495,78 @@ func TestRequestTracing(t *testing.T) {
 		if !strings.Contains(mbuf.String(), metric) {
 			t.Errorf("/metrics lacks %s", metric)
 		}
+	}
+}
+
+// TestServerTraceSpanOverflow: once the span log overflows its
+// TraceSpanCap, /debug/server-trace keeps exactly the newest spans and
+// its dropped_spans plus the retained X events equals every span ever
+// added.
+func TestServerTraceSpanOverflow(t *testing.T) {
+	const spanCap = 8
+	s, ts := newTestAPI(t, func(c *Config) { c.TraceSpanCap = spanCap })
+	var info Info
+	doJSON(t, "POST", ts.URL+"/v1/sessions", testSessionConfig(307), &info)
+	for i := 0; i < 6; i++ {
+		doJSON(t, "POST", ts.URL+"/v1/sessions/"+info.ID+"/step", map[string]uint64{"quanta": 1}, nil)
+	}
+
+	fetch := func() (reqs []string, dropped uint64) {
+		t.Helper()
+		var trace struct {
+			TraceEvents []struct {
+				Ph   string `json:"ph"`
+				Args struct {
+					Req string `json:"req"`
+				} `json:"args"`
+			} `json:"traceEvents"`
+			OtherData struct {
+				DroppedSpans string `json:"dropped_spans"`
+			} `json:"otherData"`
+		}
+		resp, err := http.Get(ts.URL + "/debug/server-trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+			t.Fatalf("server trace is not valid JSON: %v", err)
+		}
+		for _, ev := range trace.TraceEvents {
+			if ev.Ph == "X" {
+				reqs = append(reqs, ev.Args.Req)
+			}
+		}
+		dropped, err = strconv.ParseUint(trace.OtherData.DroppedSpans, 10, 64)
+		if err != nil {
+			t.Fatalf("dropped_spans %q: %v", trace.OtherData.DroppedSpans, err)
+		}
+		return reqs, dropped
+	}
+
+	// Real traffic: six steps add more spans than the cap holds.
+	added := s.spans.lastSeq()
+	if added <= spanCap {
+		t.Fatalf("only %d spans added, test needs more than the cap %d", added, spanCap)
+	}
+	reqs, dropped := fetch()
+	if len(reqs) != spanCap || dropped+uint64(len(reqs)) != added {
+		t.Fatalf("%d retained + %d dropped, want %d retained of %d added", len(reqs), dropped, spanCap, added)
+	}
+
+	// Marked spans: the retained ones are exactly the newest, in order.
+	const marks = 3 * spanCap
+	for i := 0; i < marks; i++ {
+		s.spans.push(span{name: "mark", req: "mark-" + strconv.Itoa(i), start: time.Now()})
+	}
+	reqs, dropped = fetch()
+	for i, req := range reqs {
+		if want := "mark-" + strconv.Itoa(marks-spanCap+i); req != want {
+			t.Fatalf("retained span %d is %q, want %q (the newest %d)", i, req, want, spanCap)
+		}
+	}
+	if len(reqs) != spanCap || dropped+spanCap != added+marks {
+		t.Fatalf("%d retained + %d dropped, want %d of %d added", len(reqs), dropped, spanCap, added+marks)
 	}
 }
 

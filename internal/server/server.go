@@ -307,7 +307,7 @@ type Server struct {
 	// /debug/server-trace; reqSeq numbers generated request IDs and
 	// bootNanos makes them unique across restarts. logMu serializes
 	// access-log writes.
-	spans     *spanLog
+	spans     *seqLog[span]
 	reqSeq    atomic.Uint64
 	bootNanos int64
 	logMu     sync.Mutex
@@ -353,7 +353,7 @@ func New(cfg Config) (*Server, error) {
 		tokens:    make(chan struct{}, cfg.Workers),
 		sessions:  make(map[string]*Session),
 		tenants:   make(map[string]int),
-		spans:     newSpanLog(cfg.TraceSpanCap),
+		spans:     newSeqLog[span](cfg.TraceSpanCap),
 		bootNanos: time.Now().UnixNano(),
 		peer:      newPeerClient(cfg),
 		migOut:    make(chan struct{}, cfg.MaxMigrations),
@@ -535,7 +535,7 @@ func (s *Server) CreateSession(ctx context.Context, tenant string, cfg SessionCo
 		return Info{}, fmt.Errorf("server: persisting new session: %w", err)
 	}
 	s.met.sessionsCreated.Inc(s.shard(id))
-	sess.events.append(Event{Kind: "created"})
+	sess.events.push(Event{Kind: "created"})
 	return sess.info(), nil
 }
 
@@ -574,28 +574,14 @@ func (s *Server) List() []Info {
 	return out
 }
 
-// Events returns the session's buffered events after seq, plus a
-// channel closed at the next append (for followers).
-func (s *Server) Events(id string, after uint64) ([]Event, <-chan struct{}, error) {
+// Events returns the session's retained lifecycle events, exactly as
+// a batch read of /events renders them.
+func (s *Server) Events(id string) ([]Event, error) {
 	sess, err := s.lookup(id)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	evs, notify := sess.events.since(after)
-	return evs, notify, nil
-}
-
-// ObsEvents returns the session's published engine events with
-// sequence numbers > after, the channel closed at the next publish,
-// and whether the stream is complete (terminal session). The live /obs
-// endpoint is a loop over this.
-func (s *Server) ObsEvents(id string, after uint64) ([]obsEntry, <-chan struct{}, bool, error) {
-	sess, err := s.lookup(id)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	entries, notify, closed := sess.obsLog.since(after)
-	return entries, notify, closed, nil
+	return lifecycle(sess.events), nil
 }
 
 // StepResult is one step call's outcome.
@@ -628,7 +614,7 @@ func (s *Server) Step(ctx context.Context, id string, quanta uint64) (StepResult
 	defer sess.unlockStep()
 	start := time.Now()
 	s.met.admissionWait.Observe(s.shard(id), start.Sub(admit).Seconds())
-	s.spans.add(span{name: "admission.wait", sess: id, req: req, start: admit, dur: start.Sub(admit)})
+	s.spans.push(span{name: "admission.wait", sess: id, req: req, start: admit, dur: start.Sub(admit)})
 	s.met.steps.Inc(s.shard(id))
 	defer func() {
 		s.met.stepSeconds.Observe(s.shard(id), time.Since(start).Seconds())
@@ -678,7 +664,7 @@ func (s *Server) Step(ctx context.Context, id string, quanta uint64) (StepResult
 		case <-ctx.Done():
 			return StepResult{}, &DeadlineError{Op: "executing step for session " + id, Err: ctx.Err()}
 		}
-		s.spans.add(span{name: "grant.wait", sess: id, req: req,
+		s.spans.push(span{name: "grant.wait", sess: id, req: req,
 			start: granted, dur: time.Since(granted), quanta: quanta, cycle: out.cycle, boundaries: out.boundaries})
 		if out.evicted && out.state == StateIdle {
 			// The engine unwound (pressure eviction or explicit evict)
@@ -731,7 +717,7 @@ func (s *Server) ensureLive(ctx context.Context, sess *Session) (*liveEngine, er
 			s.liveCount++
 			s.updateGaugesLocked()
 			s.mu.Unlock()
-			sess.events.append(Event{Kind: "live"})
+			sess.events.push(Event{Kind: "live"})
 			go le.loop()
 			return le, nil
 		}
@@ -800,7 +786,7 @@ func (s *Server) evictWait(ctx context.Context, sess *Session) error {
 	case <-le.done:
 		d := time.Since(start)
 		s.met.evictionSecs.Observe(s.shard(sess.ID), d.Seconds())
-		s.spans.add(span{name: "evict", sess: sess.ID, req: RequestID(ctx), start: start, dur: d})
+		s.spans.push(span{name: "evict", sess: sess.ID, req: RequestID(ctx), start: start, dur: d})
 		return nil
 	case <-ctx.Done():
 		return &DeadlineError{Op: "evicting session " + sess.ID, Err: ctx.Err()}
@@ -850,10 +836,13 @@ func (s *Server) Delete(ctx context.Context, id string) error {
 			// tombstone when it unwinds. Fall through and remove now.
 		}
 	}
+	// The final lifecycle event lands before the session leaves the
+	// table, and the close ends every /events follower after it.
+	sess.events.push(Event{Kind: "deleted"})
+	sess.events.close()
+	sess.obsLog.close()
 	s.dropSession(sess, true)
 	s.met.sessionsDeleted.Inc(s.shard(id))
-	sess.events.append(Event{Kind: "deleted"})
-	sess.obsLog.close()
 	return nil
 }
 
@@ -946,7 +935,7 @@ func (s *Server) persistSession(sess *Session) {
 		err := s.store.writeSnapshot(sess.ID, st)
 		d := time.Since(t0)
 		s.met.snapWriteSecs.Observe(s.shard(sess.ID), d.Seconds())
-		s.spans.add(span{name: "snapshot.write", sess: sess.ID, start: t0, dur: d})
+		s.spans.push(span{name: "snapshot.write", sess: sess.ID, start: t0, dur: d})
 		if err != nil {
 			s.met.ioFailures.Inc(s.shard(sess.ID))
 			// An eviction that cannot persist its snapshot is the
@@ -1015,14 +1004,14 @@ func (s *Server) engineExited(le *liveEngine, res *Result, completed bool, runEr
 	switch out.state {
 	case StateDone:
 		s.met.sessionsDone.Inc(shard)
-		sess.events.append(Event{Kind: "done", Cycle: cycle, Boundaries: bnds})
+		sess.events.push(Event{Kind: "done", Cycle: cycle, Boundaries: bnds})
 		sess.obsLog.close()
 	case StateIdle:
 		s.met.sessionsEvicted.Inc(shard)
-		sess.events.append(Event{Kind: "evicted", Cycle: cycle, Boundaries: bnds})
+		sess.events.push(Event{Kind: "evicted", Cycle: cycle, Boundaries: bnds})
 	default:
 		s.met.sessionsFailed.Inc(shard)
-		sess.events.append(Event{Kind: "failed", Detail: firstLine(failure)})
+		sess.events.push(Event{Kind: "failed", Detail: firstLine(failure)})
 		// Panic, stall-watchdog trip or engine error: dump the flight
 		// record — the published engine-event tail plus the lifecycle
 		// log — before closing the stream.

@@ -562,7 +562,7 @@ func TestEvents(t *testing.T) {
 	s := newTestServer(t, nil)
 	info := mustCreate(t, s, "", testSessionConfig(10))
 	mustFinish(t, s, info.ID)
-	evs, _, err := s.Events(info.ID, 0)
+	evs, err := s.Events(info.ID)
 	if err != nil {
 		t.Fatalf("events: %v", err)
 	}
@@ -646,7 +646,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 				default:
 					return fmt.Errorf("session %s in unexpected state %q", sess.ID, info.State)
 				}
-				if _, _, err := s.Events(sess.ID, 0); err != nil {
+				if _, err := s.Events(sess.ID); err != nil {
 					return err
 				}
 			}

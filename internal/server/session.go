@@ -266,12 +266,17 @@ type Session struct {
 	// migratedFrom records provenance: the source instance (when it
 	// announced one) this session last migrated in from.
 	migratedFrom string
-	events       *eventLog
+	// events is the lifecycle log behind /events; closed once the
+	// session is deleted or migrated away.
+	events *seqLog[Event]
 	// obsLog is the published engine-event stream: drained from the
 	// engine's obs stream ring at quantum boundaries, consumed by the
-	// /obs endpoint and the flight recorder. Always non-nil; empty and
+	// /obs endpoint and the flight recorder. Seqs are global emission
+	// indices, stable across evictions, resumes and restarts: a resumed
+	// engine re-emits the same sequence from cycle zero and publishObs
+	// skips the already-published prefix. Always non-nil; empty and
 	// closed for unobserved or restored-terminal sessions.
-	obsLog *obsLog
+	obsLog *seqLog[obs.Event]
 }
 
 func newSession(id, tenant string, cfg SessionConfig, obsLogCap int) *Session {
@@ -280,8 +285,8 @@ func newSession(id, tenant string, cfg SessionConfig, obsLogCap int) *Session {
 		stepMu: make(chan struct{}, 1),
 		state:  StateIdle,
 		gen:    1,
-		events: newEventLog(eventLogCap),
-		obsLog: newObsLog(obsLogCap),
+		events: newSeqLog[Event](eventLogCap),
+		obsLog: newSeqLog[obs.Event](obsLogCap),
 	}
 }
 
@@ -308,7 +313,7 @@ func (sess *Session) noteBoundary(st *snapshot.State) uint64 {
 	sess.cycle = st.Now
 	n := sess.boundaries
 	sess.mu.Unlock()
-	sess.events.append(Event{Kind: "boundary", Boundaries: n, Cycle: st.Now})
+	sess.events.push(Event{Kind: "boundary", Boundaries: n, Cycle: st.Now})
 	return n
 }
 
@@ -490,11 +495,20 @@ func (le *liveEngine) loop() {
 }
 
 // publishObs drains the observer's stream ring into the session's
-// obsLog. Must run on the engine goroutine (the ring is single-writer,
-// and draining between emissions is only safe from the writer's side).
+// obsLog, past the log's cursor. Events the ring already overwrote are
+// skipped — the seq discontinuity is the durable record of the loss.
+// Must run on the engine goroutine (the ring is single-writer, and
+// draining between emissions is only safe from the writer's side).
 func (le *liveEngine) publishObs() {
-	if le.obsv.Tracing() {
-		le.sess.obsLog.publishFrom(le.obsv.Stream())
+	r := le.obsv.Stream()
+	if r == nil {
+		return
+	}
+	l := le.sess.obsLog
+	evs, dropped := r.Since(l.lastSeq())
+	l.skip(dropped)
+	if len(evs) > 0 {
+		l.push(evs...)
 	}
 }
 
@@ -511,7 +525,7 @@ func (le *liveEngine) endRunSpan() {
 	sess.mu.Lock()
 	cycle, bnds := sess.cycle, sess.boundaries
 	sess.mu.Unlock()
-	le.srv.spans.add(span{
+	le.srv.spans.push(span{
 		name: "engine.run", sess: sess.ID, req: req,
 		start: le.runStart, dur: time.Since(le.runStart),
 		cycle: cycle, boundaries: bnds,
@@ -710,7 +724,7 @@ func (sess *Session) noteResumed(st *snapshot.State) {
 	sess.gen++
 	n := sess.boundaries
 	sess.mu.Unlock()
-	sess.events.append(Event{Kind: "resumed", Cycle: st.Now, Boundaries: n})
+	sess.events.push(Event{Kind: "resumed", Cycle: st.Now, Boundaries: n})
 }
 
 // manifestLocked renders the session's durable record. Callers hold

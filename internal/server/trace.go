@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -39,55 +38,23 @@ type span struct {
 	cycle, boundaries, quanta uint64
 }
 
-// spanLog is the server's bounded span ring. Overflow drops the oldest
-// spans and counts them, so the export always says what it is missing.
-type spanLog struct {
-	mu      sync.Mutex
-	cap     int
-	buf     []span
-	dropped uint64
-}
-
-func newSpanLog(capacity int) *spanLog {
-	return &spanLog{cap: capacity}
-}
-
-func (l *spanLog) add(sp span) {
-	l.mu.Lock()
-	l.buf = append(l.buf, sp)
-	if len(l.buf) > l.cap {
-		over := len(l.buf) - l.cap
-		l.dropped += uint64(over)
-		l.buf = append(l.buf[:0], l.buf[over:]...)
-	}
-	l.mu.Unlock()
-}
-
-// snapshot copies the retained spans out of the lock.
-func (l *spanLog) snapshot() ([]span, uint64) {
-	l.mu.Lock()
-	out := make([]span, len(l.buf))
-	copy(out, l.buf)
-	dropped := l.dropped
-	l.mu.Unlock()
-	return out, dropped
-}
-
 // WriteServerTrace renders the retained spans as a Chrome trace
 // (chrome://tracing, Perfetto): one pid, one lane (tid) per session,
 // timestamps in microseconds since server boot. Complete ("X") events
-// carry req/quanta/cycle/boundaries as args.
+// carry req/quanta/cycle/boundaries as args; otherData.dropped_spans
+// counts the oldest spans the bounded log (TraceSpanCap) shed, so the
+// export always says what it is missing.
 func (s *Server) WriteServerTrace(w io.Writer) error {
-	spans, dropped := s.spans.snapshot()
+	spans, dropped, _, _ := s.spans.since(0)
 
 	// Stable lane assignment: sessions sorted by ID, plus a lane 0 for
 	// spans with no session.
 	lane := map[string]int{}
 	var ids []string
-	for _, sp := range spans {
-		if _, ok := lane[sp.sess]; !ok {
-			lane[sp.sess] = 0
-			ids = append(ids, sp.sess)
+	for _, e := range spans {
+		if _, ok := lane[e.v.sess]; !ok {
+			lane[e.v.sess] = 0
+			ids = append(ids, e.v.sess)
 		}
 	}
 	sort.Strings(ids)
@@ -120,7 +87,8 @@ func (s *Server) WriteServerTrace(w io.Writer) error {
 		buf = append(buf, `}}`...)
 		emit()
 	}
-	for _, sp := range spans {
+	for _, e := range spans {
+		sp := e.v
 		buf = append(buf, `{"name":`...)
 		buf = strconv.AppendQuote(buf, sp.name)
 		buf = append(buf, `,"ph":"X","pid":1,"tid":`...)

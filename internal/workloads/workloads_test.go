@@ -96,10 +96,7 @@ func TestMergeBuildsParentChildAnnotations(t *testing.T) {
 		t.Errorf("graph not cleaned up: %d edges", e.Graph().Edges())
 	}
 	_ = edgesSeen
-	var total uint64
-	for _, d := range e.Dispatches() {
-		total += d
-	}
+	total := e.Snapshot().TotalDispatches()
 	// 3200/100 = 32 leaves -> 63 threads -> >63 dispatches (joins
 	// force re-dispatches of parents).
 	if total < 63 {

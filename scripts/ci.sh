@@ -38,6 +38,13 @@ go test -run 'TestGoldenUnchangedByObservation' .
 go test -run 'TestObsStreamMatchesEngineExport|TestObsFollowEqualsBatch|TestObsStreamSurvivesEviction' ./internal/server
 go test -run 'TestStreamFollowEqualsBatch' ./internal/obs
 
+# Stream-accounting gates: the one bounded log behind /events, /obs and
+# the span ring numbers, trims and reports loss by one rule (dropped +
+# retained == newest seq, leading and interior gaps alike), a followed
+# /events stream ends with the session's deleted record, and an
+# overflowed span ring keeps exactly the newest spans.
+go test -run 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEndsAtDelete|TestServerTraceSpanOverflow' ./internal/server
+
 # Cache-topology gates. The degenerate-equivalence differential (a
 # shared hierarchy at one CPU must match the private direct-mapped
 # machine access for access) and the shared-LLC report smoke: the

@@ -37,7 +37,7 @@ if [ "${1:-}" = server ]; then
     n=${1:-200}
     server_pid=""
     work=$(mktemp -d)
-    trap 'kill -9 "$server_pid" 2>/dev/null; rm -rf "$work"' EXIT
+    trap 'kill -9 "$server_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
     go build -o "$work/atsimd" ./cmd/atsimd
     go build -o "$work/atsimload" ./cmd/atsimload
     data="$work/data"
@@ -118,7 +118,7 @@ if [ "${1:-}" = migrate ]; then
     n=${1:-30}
     a_pid=""; b_pid=""
     work=$(mktemp -d)
-    trap 'kill -9 "$a_pid" "$b_pid" 2>/dev/null; rm -rf "$work"' EXIT
+    trap 'kill -9 "$a_pid" "$b_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
     go build -o "$work/atsimd" ./cmd/atsimd
     go build -o "$work/atsimload" ./cmd/atsimload
 
