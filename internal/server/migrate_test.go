@@ -254,6 +254,36 @@ func TestMigrateBasic(t *testing.T) {
 	}
 }
 
+// TestRestoredTombstoneEventsEnd: a migrated tombstone restored at
+// boot has no more lifecycle events to publish, so /events?follow=1 on
+// it must end after the retained log instead of waiting for a delete.
+func TestRestoredTombstoneEventsEnd(t *testing.T) {
+	a, b := newNode(t, nil), newNode(t, nil)
+	ctx := context.Background()
+	info := mustCreate(t, a.server(), "", testSessionConfig(502))
+	if _, err := a.server().Step(ctx, info.ID, 1); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	if _, err := a.server().Migrate(ctx, info.ID, b.url()); err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	a.kill()
+	a.boot(nil)
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(a.url() + "/v1/sessions/" + info.ID + "/events?follow=1")
+	if err != nil {
+		t.Fatalf("follow events on restored tombstone: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow events on restored tombstone = %d, want 200", resp.StatusCode)
+	}
+	if _, err := io.ReadAll(resp.Body); err != nil {
+		t.Fatalf("events stream on restored tombstone did not end: %v", err)
+	}
+}
+
 // TestMigrateHTTP pins the wire-level contract: 410 Gone with a
 // Location header that rebuilds the request path on the new home, and
 // a one-hop follow reaching the live session.

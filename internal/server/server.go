@@ -450,6 +450,11 @@ func (s *Server) restore() error {
 			// terminate instead of waiting forever.
 			sess.obsLog.close()
 		}
+		if sess.state == StateMigrated {
+			// A tombstone's lifecycle ended at its commit, where
+			// commitMigrated closed the log: /events followers end.
+			sess.events.close()
+		}
 		sess.boundaries = m.Boundaries
 		sess.cycle = m.Cycle
 		sess.evictions = m.Evictions

@@ -106,7 +106,12 @@ func (st *store) writeManifest(m manifest) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding manifest %s: %w", m.ID, err)
 	}
-	path := st.manifestPath(m.ID)
+	return st.writeFile(st.manifestPath(m.ID), data)
+}
+
+// writeFile atomically replaces path with data, retried under the
+// store's IO policy and timeout.
+func (st *store) writeFile(path string, data []byte) error {
 	ctx, cancel := st.ioCtx()
 	defer cancel()
 	return retry.Do(ctx, st.policyFor(path), func() error {
@@ -209,15 +214,7 @@ func (st *store) readSnapshotRaw(id string) ([]byte, error) {
 // inbound half of the wire-format reuse). The caller has already
 // verified the container's CRC.
 func (st *store) writeSnapshotRaw(id string, data []byte) error {
-	path := st.snapPath(id)
-	ctx, cancel := st.ioCtx()
-	defer cancel()
-	return retry.Do(ctx, st.policyFor(path), func() error {
-		return fsatomic.WriteFile(path, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		})
-	})
+	return st.writeFile(st.snapPath(id), data)
 }
 
 // removeSnapshot is best-effort cleanup (done sessions do not need
@@ -242,15 +239,7 @@ func (st *store) writeIntent(in migrationIntent) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding migration intent %s: %w", in.ID, err)
 	}
-	path := st.intentPath(in.ID)
-	ctx, cancel := st.ioCtx()
-	defer cancel()
-	return retry.Do(ctx, st.policyFor(path), func() error {
-		return fsatomic.WriteFile(path, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		})
-	})
+	return st.writeFile(st.intentPath(in.ID), data)
 }
 
 // removeIntent clears a resolved intent. Best-effort: a leftover file
@@ -297,15 +286,7 @@ func (st *store) writeFlight(id string, d flightDump) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding flight record %s: %w", id, err)
 	}
-	path := st.flightPath(id)
-	ctx, cancel := st.ioCtx()
-	defer cancel()
-	return retry.Do(ctx, st.policyFor(path), func() error {
-		return fsatomic.WriteFile(path, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		})
-	})
+	return st.writeFile(st.flightPath(id), data)
 }
 
 // loadFlight returns the raw flight record, or ErrNotFound when the

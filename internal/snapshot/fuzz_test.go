@@ -49,6 +49,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	binary.LittleEndian.PutUint64(hostile[12:20], uint64(len(payload)))
 	binary.LittleEndian.PutUint64(hostile[20:28], crcOf(payload))
 	f.Add(append(hostile, payload...))
+	// A header claiming 2 GiB in front of 10 bytes: must fail as
+	// truncated without allocating the claimed length.
+	f.Add(hugeClaim())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))

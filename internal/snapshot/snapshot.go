@@ -36,6 +36,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
+	"strconv"
+	"sync"
+	"unsafe"
 
 	"repro/internal/fsatomic"
 )
@@ -245,22 +249,25 @@ func (s *State) ConfigValue(k string) string {
 // identity for "this exact state" (the soak harness compares final
 // fingerprints across kill/resume schedules).
 func (s *State) Fingerprint() uint64 {
-	return crc64.Checksum(s.encodePayload(), crcTable)
+	c := s.encode()
+	defer c.release()
+	return crc64.Checksum(c.buf, crcTable)
 }
 
 // Save writes the snapshot to w: magic, version, payload length,
 // payload CRC64, payload.
 func (s *State) Save(w io.Writer) error {
-	payload := s.encodePayload()
+	c := s.encode()
+	defer c.release()
 	var hdr [28]byte
 	copy(hdr[0:8], magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[20:28], crc64.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(c.buf)))
+	binary.LittleEndian.PutUint64(hdr[20:28], crc64.Checksum(c.buf, crcTable))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("snapshot: write header: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(c.buf); err != nil {
 		return fmt.Errorf("snapshot: write payload: %w", err)
 	}
 	return nil
@@ -275,7 +282,9 @@ func (s *State) WriteFile(path string) error {
 
 // Load reads and validates a snapshot. Errors are descriptive
 // (truncation offsets, version skew, checksum mismatch); malformed
-// input never panics.
+// input never panics. The payload buffer grows only as bytes arrive,
+// so memory follows the bytes present, not the length the header
+// claims.
 func Load(r io.Reader) (*State, error) {
 	var hdr [28]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -293,21 +302,28 @@ func Load(r io.Reader) (*State, error) {
 	if size > maxPayload {
 		return nil, fmt.Errorf("snapshot: payload length %d exceeds the %d-byte bound", size, maxPayload)
 	}
-	payload := make([]byte, size)
-	if n, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("snapshot: payload truncated at byte %d of %d: %w", n, size, err)
+	c := newCodec(true)
+	defer c.release()
+	buf := bytes.NewBuffer(c.buf)
+	buf.Grow(int(min(size, 1<<16)) + bytes.MinRead)
+	_, err := buf.ReadFrom(io.LimitReader(r, int64(size)))
+	if c.buf = buf.Bytes(); err == nil && uint64(len(c.buf)) < size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: payload truncated at byte %d of %d: %w", len(c.buf), size, err)
 	}
 	want := binary.LittleEndian.Uint64(hdr[20:28])
-	if got := crc64.Checksum(payload, crcTable); got != want {
+	if got := crc64.Checksum(c.buf, crcTable); got != want {
 		return nil, fmt.Errorf("snapshot: checksum mismatch (stored %016x, computed %016x): file corrupted", want, got)
 	}
-	d := &decoder{buf: payload}
-	st := d.state()
-	if d.err != nil {
-		return nil, d.err
+	st := &State{}
+	st.walk(c)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after state at offset %d", len(d.buf)-d.off, d.off)
+	if c.off != len(c.buf) {
+		return nil, fmt.Errorf("snapshot: %d trailing bytes after state at offset %d", len(c.buf)-c.off, c.off)
 	}
 	return st, nil
 }
@@ -326,536 +342,367 @@ func LoadFile(path string) (*State, error) {
 	return st, nil
 }
 
-// ---- encoding ----
+// Equal reports whether a and b are the same state (canonical
+// encodings are byte-equal; floats compare as bits).
+func Equal(a, b *State) bool {
+	ca, cb := a.encode(), b.encode()
+	defer ca.release()
+	defer cb.release()
+	return bytes.Equal(ca.buf, cb.buf)
+}
+
+// Diff returns nil when the states are equal, or an error naming the
+// first divergent field by its full path with both values, e.g.
+// "snapshot: Threads[1].Cycles = 5000, live 5001". A slice of another
+// length reports len(path); a float reports its value and bits. It is
+// the message behind resume-verification failures.
+func Diff(stored, live *State) error {
+	if Equal(stored, live) {
+		return nil
+	}
+	a, b := &codec{logging: true}, &codec{logging: true}
+	stored.walk(a)
+	live.walk(b)
+	i := 0
+	for i < len(a.buf) && i < len(b.buf) && a.buf[i] == b.buf[i] {
+		i++
+	}
+	// Equal bytes before i mean the walks visited the same fields up to
+	// there, so byte i lies in both payloads (neither canonical encoding
+	// can be a prefix of the other) and in the same-numbered mark.
+	j := sort.Search(len(a.marks), func(j int) bool { return a.marks[j].end > i })
+	return fmt.Errorf("snapshot: %s = %s, live %s", a.marks[j].path, a.marks[j].value, b.marks[j].value)
+}
+
+// ---- the payload layout ----
 //
 // The payload is a flat little-endian stream: fixed-width integers,
-// float64 as IEEE bits, strings and slices with uvarint length
-// prefixes. Field order is the State declaration order; the encoding
-// is canonical (one State value has exactly one encoding), which is
-// what lets verification compare encoded bytes.
+// bools as one 0/1 byte, float64 as IEEE bits, strings and slices
+// with uvarint length prefixes. The walk methods below are the only
+// place the layout is written down: each visits its fields exactly
+// once, in declaration order, and the same walk encodes, decodes and
+// names Diff's first divergence. The encoding is canonical (one State
+// value has exactly one encoding), which is what lets verification
+// compare encoded bytes.
 
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *encoder) bool(v bool)   { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
-func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) i32(v int32)   { e.u32(uint32(v)) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) count(n int)   { e.buf = binary.AppendUvarint(e.buf, uint64(n)) }
-func (e *encoder) str(s string) {
-	e.count(len(s))
-	e.buf = append(e.buf, s...)
+// walk visits every payload field of the state.
+func (s *State) walk(c *codec) {
+	list(c, "Config", &s.Config, (*KV).walk)
+	c.str("Policy", &s.Policy)
+	fixed(c, "NCPU", &s.NCPU)
+	fixed(c, "CacheLines", &s.CacheLines)
+	fixed(c, "Seed", &s.Seed)
+	fixed(c, "CheckpointEvery", &s.CheckpointEvery)
+	fixed(c, "NextCheckpoint", &s.NextCheckpoint)
+	fixed(c, "Steps", &s.Steps)
+	fixed(c, "Now", &s.Now)
+	fixed(c, "NextID", &s.NextID)
+	fixed(c, "Live", &s.Live)
+	fixed(c, "TimerSeq", &s.TimerSeq)
+	fixed(c, "EngineRNG", &s.EngineRNG)
+	list(c, "CPUs", &s.CPUs, (*CPUState).walk)
+	list(c, "Timers", &s.Timers, (*TimerState).walk)
+	list(c, "Threads", &s.Threads, (*ThreadState).walk)
+	old := c.enter("Sched", -1)
+	s.Sched.walk(c)
+	c.path = old
+	list(c, "Graph", &s.Graph, (*GraphEdge).walk)
+	list(c, "Health", &s.Health, (*HealthState).walk)
+	fixed(c, "ModelFLOPs", &s.ModelFLOPs)
+	fixed(c, "ObsDigest", &s.ObsDigest)
 }
 
-func (s *State) encodePayload() []byte {
-	e := &encoder{buf: make([]byte, 0, 4096)}
-	e.count(len(s.Config))
-	for _, kv := range s.Config {
-		e.str(kv.K)
-		e.str(kv.V)
+func (kv *KV) walk(c *codec) {
+	c.str("K", &kv.K)
+	c.str("V", &kv.V)
+}
+
+func (p *CPUState) walk(c *codec) {
+	fixed(c, "Clock", &p.Clock)
+	fixed(c, "Misses", &p.Misses)
+	fixed(c, "Refs", &p.Refs)
+	fixed(c, "Hits", &p.Hits)
+	fixed(c, "BaseRefs", &p.BaseRefs)
+	fixed(c, "BaseHits", &p.BaseHits)
+	fixed(c, "Idle", &p.Idle)
+	fixed(c, "Dispatches", &p.Dispatches)
+	c.bool("Parked", &p.Parked)
+	fixed(c, "Running", &p.Running)
+}
+
+func (t *TimerState) walk(c *codec) {
+	fixed(c, "WakeAt", &t.WakeAt)
+	fixed(c, "Seq", &t.Seq)
+	fixed(c, "Thread", &t.Thread)
+}
+
+func (t *ThreadState) walk(c *codec) {
+	fixed(c, "ID", &t.ID)
+	c.str("Name", &t.Name)
+	fixed(c, "Status", &t.Status)
+	c.str("BlockedOn", &t.BlockedOn)
+	fixed(c, "CPU", &t.CPU)
+	fixed(c, "Cycles", &t.Cycles)
+	fixed(c, "DispatchClock", &t.DispatchClock)
+	fixed(c, "DispatchCount", &t.DispatchCount)
+	fixed(c, "DispatchMisses", &t.DispatchMisses)
+	fixed(c, "ReadyClock", &t.ReadyClock)
+	fixed(c, "RNG", &t.RNG)
+	list(c, "Joiners", &t.Joiners, walkInt64)
+}
+
+func (s *SchedState) walk(c *codec) {
+	fixed(c, "DispatchCount", &s.DispatchCount)
+	fixed(c, "Escapes", &s.Escapes)
+	for i := range s.Ops {
+		old := c.enter("Ops", i)
+		fixed(c, "", &s.Ops[i])
+		c.path = old
 	}
-	e.str(s.Policy)
-	e.i32(s.NCPU)
-	e.i64(s.CacheLines)
-	e.u64(s.Seed)
-	e.u64(s.CheckpointEvery)
-	e.u64(s.NextCheckpoint)
-	e.u64(s.Steps)
-	e.u64(s.Now)
-	e.i64(s.NextID)
-	e.i32(s.Live)
-	e.u64(s.TimerSeq)
-	e.u64(s.EngineRNG)
-	e.count(len(s.CPUs))
-	for _, c := range s.CPUs {
-		e.u64(c.Clock)
-		e.u64(c.Misses)
-		e.u32(c.Refs)
-		e.u32(c.Hits)
-		e.u32(c.BaseRefs)
-		e.u32(c.BaseHits)
-		e.u64(c.Idle)
-		e.u64(c.Dispatches)
-		e.bool(c.Parked)
-		e.i64(c.Running)
+	list(c, "Quarantine", &s.Quarantine, walkBool)
+	list(c, "Global", &s.Global, (*GlobalEntry).walk)
+	list(c, "Spawn", &s.Spawn, walkInt64s)
+	list(c, "Heaps", &s.Heaps, walkInt64s)
+	list(c, "Threads", &s.Threads, (*SchedThread).walk)
+}
+
+func (g *GlobalEntry) walk(c *codec) {
+	fixed(c, "Thread", &g.Thread)
+	fixed(c, "Stamp", &g.Stamp)
+}
+
+func (t *SchedThread) walk(c *codec) {
+	fixed(c, "ID", &t.ID)
+	c.bool("Runnable", &t.Runnable)
+	c.bool("Running", &t.Running)
+	c.bool("InGlobal", &t.InGlobal)
+	c.bool("InSpawn", &t.InSpawn)
+	list(c, "Entries", &t.Entries, (*SchedEntry).walk)
+}
+
+func (e *SchedEntry) walk(c *codec) {
+	fixed(c, "CPU", &e.CPU)
+	c.f64("S", &e.S)
+	c.f64("SLast", &e.SLast)
+	fixed(c, "M0", &e.M0)
+	c.f64("Prio", &e.Prio)
+	c.f64("DispatchS", &e.DispatchS)
+	fixed(c, "DispatchM", &e.DispatchM)
+	fixed(c, "HeapIdx", &e.HeapIdx)
+}
+
+func (g *GraphEdge) walk(c *codec) {
+	fixed(c, "From", &g.From)
+	fixed(c, "To", &g.To)
+	c.f64("Q", &g.Q)
+}
+
+func (h *HealthState) walk(c *codec) {
+	fixed(c, "OK", &h.OK)
+	fixed(c, "Suspect", &h.Suspect)
+	fixed(c, "Rejected", &h.Rejected)
+	fixed(c, "Quarantines", &h.Quarantines)
+	fixed(c, "Recoveries", &h.Recoveries)
+	fixed(c, "StreakRejected", &h.StreakRejected)
+	fixed(c, "StreakClean", &h.StreakClean)
+	fixed(c, "Frozen", &h.Frozen)
+	c.bool("Quarantined", &h.Quarantined)
+}
+
+func walkBool(v *bool, c *codec)      { c.bool("", v) }
+func walkInt64(v *int64, c *codec)    { fixed(c, "", v) }
+func walkInt64s(v *[]int64, c *codec) { list(c, "", v, walkInt64) }
+
+// ---- the codec ----
+
+// codec runs a walk one way. Encoding appends each field to buf and,
+// when logging, marks where it ends with its path and value (Diff's
+// attribution). Decoding fills a zero State from buf with every read
+// bounds-checked; the first error sticks and stops all later reads.
+type codec struct {
+	decode, logging bool
+	buf             []byte
+	off             int // decode read offset
+	err             error
+	path            string // logging: the enclosing field's path
+	marks           []mark
+}
+
+type mark struct {
+	end         int // payload offset just past the field
+	path, value string
+}
+
+// codecs recycles codecs and their buffers: the walk hands its codec to
+// element walkers through func values, so a codec always lives on the
+// heap, and Save, Load, Equal and Fingerprint run on every checkpoint.
+var codecs = sync.Pool{New: func() any { return new(codec) }}
+
+func newCodec(decode bool) *codec {
+	c := codecs.Get().(*codec)
+	*c = codec{decode: decode, buf: c.buf[:0]}
+	return c
+}
+
+// release recycles c, whose buf is dead from here on; buffers over
+// 1 MiB are left to the collector.
+func (c *codec) release() {
+	if cap(c.buf) <= 1<<20 {
+		codecs.Put(c)
 	}
-	e.count(len(s.Timers))
-	for _, t := range s.Timers {
-		e.u64(t.WakeAt)
-		e.u64(t.Seq)
-		e.i64(t.Thread)
+}
+
+func (s *State) encode() *codec {
+	c := newCodec(false)
+	s.walk(c)
+	return c
+}
+
+// list codes a slice: its uvarint count, then each element by elem.
+// Decoding bounds the count by the bytes left (every element takes at
+// least one) and appends one element at a time until the first error,
+// so allocation stays bounded by the payload actually present; an
+// empty slice decodes as nil.
+func list[T any](c *codec, name string, s *[]T, elem func(*T, *codec)) {
+	n := len(*s)
+	if c.decode {
+		n = c.count()
+	} else if c.buf = binary.AppendUvarint(c.buf, uint64(n)); c.logging {
+		c.marks = append(c.marks, mark{len(c.buf), "len(" + join(c.path, name) + ")", strconv.Itoa(n)})
 	}
-	e.count(len(s.Threads))
-	for _, t := range s.Threads {
-		e.i64(t.ID)
-		e.str(t.Name)
-		e.u8(t.Status)
-		e.str(t.BlockedOn)
-		e.i32(t.CPU)
-		e.u64(t.Cycles)
-		e.u64(t.DispatchClock)
-		e.u64(t.DispatchCount)
-		e.u64(t.DispatchMisses)
-		e.u64(t.ReadyClock)
-		e.u64(t.RNG)
-		e.count(len(t.Joiners))
-		for _, j := range t.Joiners {
-			e.i64(j)
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.decode {
+			var zero T
+			*s = append(*s, zero)
+		}
+		old := c.enter(name, i)
+		elem(&(*s)[i], c)
+		c.path = old
+	}
+}
+
+// enter descends into field name — element i of it when i >= 0 — and
+// returns the path to restore on the way out. Paths are built only
+// when logging.
+func (c *codec) enter(name string, i int) string {
+	old := c.path
+	if c.logging {
+		c.path = join(old, name)
+		if i >= 0 {
+			c.path += "[" + strconv.Itoa(i) + "]"
 		}
 	}
-	e.u64(s.Sched.DispatchCount)
-	e.u64(s.Sched.Escapes)
-	for _, op := range s.Sched.Ops {
-		e.u64(op)
+	return old
+}
+
+func join(path, name string) string {
+	if path == "" || name == "" {
+		return path + name
 	}
-	e.count(len(s.Sched.Quarantine))
-	for _, q := range s.Sched.Quarantine {
-		e.bool(q)
+	return path + "." + name
+}
+
+// note marks the field just encoded; call it only when logging.
+func (c *codec) note(name, value string) {
+	c.marks = append(c.marks, mark{len(c.buf), join(c.path, name), value})
+}
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("snapshot: "+format+" (payload offset %d)", append(args, c.off)...)
 	}
-	e.count(len(s.Sched.Global))
-	for _, g := range s.Sched.Global {
-		e.i64(g.Thread)
-		e.u64(g.Stamp)
-	}
-	e.count(len(s.Sched.Spawn))
-	for _, stack := range s.Sched.Spawn {
-		e.count(len(stack))
-		for _, tid := range stack {
-			e.i64(tid)
+}
+
+// word codes the low size bytes (1, 4 or 8) of w little-endian and
+// returns the value decoded (w itself when encoding, 0 after an error).
+func (c *codec) word(size int, w uint64) uint64 {
+	if !c.decode {
+		switch size {
+		case 1:
+			c.buf = append(c.buf, byte(w))
+		case 4:
+			c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(w))
+		default:
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, w)
 		}
+		return w
 	}
-	e.count(len(s.Sched.Heaps))
-	for _, h := range s.Sched.Heaps {
-		e.count(len(h))
-		for _, tid := range h {
-			e.i64(tid)
-		}
-	}
-	e.count(len(s.Sched.Threads))
-	for _, t := range s.Sched.Threads {
-		e.i64(t.ID)
-		e.bool(t.Runnable)
-		e.bool(t.Running)
-		e.bool(t.InGlobal)
-		e.bool(t.InSpawn)
-		e.count(len(t.Entries))
-		for _, en := range t.Entries {
-			e.i32(en.CPU)
-			e.f64(en.S)
-			e.f64(en.SLast)
-			e.u64(en.M0)
-			e.f64(en.Prio)
-			e.f64(en.DispatchS)
-			e.u64(en.DispatchM)
-			e.i32(en.HeapIdx)
-		}
-	}
-	e.count(len(s.Graph))
-	for _, g := range s.Graph {
-		e.i64(g.From)
-		e.i64(g.To)
-		e.f64(g.Q)
-	}
-	e.count(len(s.Health))
-	for _, h := range s.Health {
-		e.u64(h.OK)
-		e.u64(h.Suspect)
-		e.u64(h.Rejected)
-		e.u64(h.Quarantines)
-		e.u64(h.Recoveries)
-		e.i64(h.StreakRejected)
-		e.i64(h.StreakClean)
-		e.i64(h.Frozen)
-		e.bool(h.Quarantined)
-	}
-	e.u64(s.ModelFLOPs)
-	e.u64(s.ObsDigest)
-	return e.buf
-}
-
-// ---- decoding ----
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: "+format+" (payload offset %d)", append(args, d.off)...)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("need %d bytes, %d remain", n, len(d.buf)-d.off)
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
+	if c.err != nil || len(c.buf)-c.off < size {
+		c.fail("need %d bytes, %d remain", size, len(c.buf)-c.off)
 		return 0
 	}
-	return b[0]
-}
-
-func (d *decoder) bool() bool {
-	switch v := d.u8(); v {
-	case 0:
-		return false
+	b := c.buf[c.off:]
+	c.off += size
+	switch size {
 	case 1:
-		return true
-	default:
-		d.fail("bool byte %d", v)
-		return false
-	}
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+		return uint64(b[0])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
 	}
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) i32() int32   { return int32(d.u32()) }
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+// fixed codes an integer field as its width in little-endian bytes;
+// signed values travel as two's complement.
+func fixed[T uint8 | int32 | uint32 | int64 | uint64](c *codec, name string, v *T) {
+	if w := c.word(int(unsafe.Sizeof(*v)), uint64(*v)); c.decode {
+		*v = T(w)
+	} else if c.logging {
+		c.note(name, fmt.Sprint(*v))
+	}
+}
 
-// count reads a uvarint element count and bounds it: each element of
-// the section needs at least elemSize payload bytes, so a count larger
-// than remaining/elemSize is provably corrupt and is rejected before
-// any allocation.
-func (d *decoder) count(elemSize int) int {
-	if d.err != nil {
+func (c *codec) f64(name string, v *float64) {
+	if w := c.word(8, math.Float64bits(*v)); c.decode {
+		*v = math.Float64frombits(w)
+	} else if c.logging {
+		c.note(name, fmt.Sprintf("%v (bits %#016x)", *v, w))
+	}
+}
+
+// bool codes a bool as one 0/1 byte; decoding rejects any other byte.
+func (c *codec) bool(name string, v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	if fixed(c, name, &b); c.decode && b > 1 {
+		c.fail("bool byte %d", b)
+	} else if c.decode {
+		*v = b == 1
+	}
+}
+
+// count decodes a slice or string length, rejecting one above the
+// bytes left: no valid payload holds an element in less than a byte.
+func (c *codec) count() int {
+	v, k := binary.Uvarint(c.buf[c.off:])
+	if c.err != nil || k <= 0 {
+		c.fail("bad varint count")
 		return 0
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("bad varint count")
-		return 0
-	}
-	d.off += n
-	if remain := len(d.buf) - d.off; v > uint64(remain/elemSize) {
-		d.fail("count %d exceeds remaining payload (%d bytes)", v, remain)
+	c.off += k
+	if remain := len(c.buf) - c.off; v > uint64(remain) {
+		c.fail("count %d exceeds remaining payload (%d bytes)", v, remain)
 		return 0
 	}
 	return int(v)
 }
 
-func (d *decoder) str() string {
-	n := d.count(1)
-	if n > maxStringLen {
-		d.fail("string length %d exceeds %d", n, maxStringLen)
-		return ""
-	}
-	b := d.take(n)
-	return string(b)
-}
-
-func (d *decoder) state() *State {
-	s := &State{}
-	for i, n := 0, d.count(2); i < n && d.err == nil; i++ {
-		s.Config = append(s.Config, KV{K: d.str(), V: d.str()})
-	}
-	s.Policy = d.str()
-	s.NCPU = d.i32()
-	s.CacheLines = d.i64()
-	s.Seed = d.u64()
-	s.CheckpointEvery = d.u64()
-	s.NextCheckpoint = d.u64()
-	s.Steps = d.u64()
-	s.Now = d.u64()
-	s.NextID = d.i64()
-	s.Live = d.i32()
-	s.TimerSeq = d.u64()
-	s.EngineRNG = d.u64()
-	for i, n := 0, d.count(49); i < n && d.err == nil; i++ {
-		s.CPUs = append(s.CPUs, CPUState{
-			Clock: d.u64(), Misses: d.u64(),
-			Refs: d.u32(), Hits: d.u32(), BaseRefs: d.u32(), BaseHits: d.u32(),
-			Idle: d.u64(), Dispatches: d.u64(), Parked: d.bool(), Running: d.i64(),
-		})
-	}
-	for i, n := 0, d.count(24); i < n && d.err == nil; i++ {
-		s.Timers = append(s.Timers, TimerState{WakeAt: d.u64(), Seq: d.u64(), Thread: d.i64()})
-	}
-	for i, n := 0, d.count(64); i < n && d.err == nil; i++ {
-		t := ThreadState{
-			ID: d.i64(), Name: d.str(), Status: d.u8(), BlockedOn: d.str(),
-			CPU: d.i32(), Cycles: d.u64(), DispatchClock: d.u64(),
-			DispatchCount: d.u64(), DispatchMisses: d.u64(), ReadyClock: d.u64(),
-			RNG: d.u64(),
+func (c *codec) str(name string, v *string) {
+	if !c.decode {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*v)))
+		c.buf = append(c.buf, *v...)
+		if c.logging {
+			c.note(name, strconv.Quote(*v))
 		}
-		for j, m := 0, d.count(8); j < m && d.err == nil; j++ {
-			t.Joiners = append(t.Joiners, d.i64())
-		}
-		s.Threads = append(s.Threads, t)
+		return
 	}
-	s.Sched.DispatchCount = d.u64()
-	s.Sched.Escapes = d.u64()
-	for i := range s.Sched.Ops {
-		s.Sched.Ops[i] = d.u64()
+	switch n := c.count(); {
+	case n > maxStringLen:
+		c.fail("string length %d exceeds %d", n, maxStringLen)
+	case n > 0:
+		*v = string(c.buf[c.off : c.off+n])
+		c.off += n
 	}
-	for i, n := 0, d.count(1); i < n && d.err == nil; i++ {
-		s.Sched.Quarantine = append(s.Sched.Quarantine, d.bool())
-	}
-	for i, n := 0, d.count(16); i < n && d.err == nil; i++ {
-		s.Sched.Global = append(s.Sched.Global, GlobalEntry{Thread: d.i64(), Stamp: d.u64()})
-	}
-	for i, n := 0, d.count(1); i < n && d.err == nil; i++ {
-		var stack []int64
-		for j, m := 0, d.count(8); j < m && d.err == nil; j++ {
-			stack = append(stack, d.i64())
-		}
-		s.Sched.Spawn = append(s.Sched.Spawn, stack)
-	}
-	for i, n := 0, d.count(1); i < n && d.err == nil; i++ {
-		var h []int64
-		for j, m := 0, d.count(8); j < m && d.err == nil; j++ {
-			h = append(h, d.i64())
-		}
-		s.Sched.Heaps = append(s.Sched.Heaps, h)
-	}
-	for i, n := 0, d.count(13); i < n && d.err == nil; i++ {
-		t := SchedThread{
-			ID: d.i64(), Runnable: d.bool(), Running: d.bool(),
-			InGlobal: d.bool(), InSpawn: d.bool(),
-		}
-		for j, m := 0, d.count(48); j < m && d.err == nil; j++ {
-			t.Entries = append(t.Entries, SchedEntry{
-				CPU: d.i32(), S: d.f64(), SLast: d.f64(), M0: d.u64(),
-				Prio: d.f64(), DispatchS: d.f64(), DispatchM: d.u64(), HeapIdx: d.i32(),
-			})
-		}
-		s.Sched.Threads = append(s.Sched.Threads, t)
-	}
-	for i, n := 0, d.count(24); i < n && d.err == nil; i++ {
-		s.Graph = append(s.Graph, GraphEdge{From: d.i64(), To: d.i64(), Q: d.f64()})
-	}
-	for i, n := 0, d.count(65); i < n && d.err == nil; i++ {
-		s.Health = append(s.Health, HealthState{
-			OK: d.u64(), Suspect: d.u64(), Rejected: d.u64(),
-			Quarantines: d.u64(), Recoveries: d.u64(),
-			StreakRejected: d.i64(), StreakClean: d.i64(), Frozen: d.i64(),
-			Quarantined: d.bool(),
-		})
-	}
-	s.ModelFLOPs = d.u64()
-	s.ObsDigest = d.u64()
-	return s
-}
-
-// ---- comparison ----
-
-// Equal reports whether a and b are the same state (canonical
-// encodings are byte-equal; floats compare as bits).
-func Equal(a, b *State) bool {
-	return bytes.Equal(a.encodePayload(), b.encodePayload())
-}
-
-// Diff returns nil when the states are equal, or a descriptive error
-// naming the first field-level divergence. It is the message behind
-// resume-verification failures, so it favours precision: which
-// section, which CPU or thread, stored vs live value.
-func Diff(stored, live *State) error {
-	if Equal(stored, live) {
-		return nil
-	}
-	if d := diffConfig(stored, live); d != nil {
-		return d
-	}
-	if stored.Policy != live.Policy {
-		return fmt.Errorf("snapshot: policy %q != live %q", stored.Policy, live.Policy)
-	}
-	if stored.NCPU != live.NCPU {
-		return fmt.Errorf("snapshot: ncpu %d != live %d", stored.NCPU, live.NCPU)
-	}
-	if stored.CacheLines != live.CacheLines {
-		return fmt.Errorf("snapshot: cache lines %d != live %d", stored.CacheLines, live.CacheLines)
-	}
-	if stored.Seed != live.Seed {
-		return fmt.Errorf("snapshot: seed %d != live %d", stored.Seed, live.Seed)
-	}
-	if stored.Steps != live.Steps {
-		return fmt.Errorf("snapshot: step cursor %d != live %d", stored.Steps, live.Steps)
-	}
-	if stored.Now != live.Now {
-		return fmt.Errorf("snapshot: virtual clock %d != live %d", stored.Now, live.Now)
-	}
-	if stored.NextID != live.NextID || stored.Live != live.Live {
-		return fmt.Errorf("snapshot: thread census (next id %d, live %d) != live (%d, %d)",
-			stored.NextID, stored.Live, live.NextID, live.Live)
-	}
-	if stored.TimerSeq != live.TimerSeq || len(stored.Timers) != len(live.Timers) {
-		return fmt.Errorf("snapshot: timers (seq %d, %d pending) != live (seq %d, %d pending)",
-			stored.TimerSeq, len(stored.Timers), live.TimerSeq, len(live.Timers))
-	}
-	if stored.EngineRNG != live.EngineRNG {
-		return fmt.Errorf("snapshot: engine rng %#x != live %#x", stored.EngineRNG, live.EngineRNG)
-	}
-	for i := range stored.Timers {
-		if stored.Timers[i] != live.Timers[i] {
-			return fmt.Errorf("snapshot: timer %d %+v != live %+v", i, stored.Timers[i], live.Timers[i])
-		}
-	}
-	for i := range stored.CPUs {
-		if i < len(live.CPUs) && stored.CPUs[i] != live.CPUs[i] {
-			return fmt.Errorf("snapshot: cpu %d %+v != live %+v", i, stored.CPUs[i], live.CPUs[i])
-		}
-	}
-	if d := diffThreads(stored.Threads, live.Threads); d != nil {
-		return d
-	}
-	if d := diffSched(&stored.Sched, &live.Sched); d != nil {
-		return d
-	}
-	if len(stored.Graph) != len(live.Graph) {
-		return fmt.Errorf("snapshot: graph has %d edges, live %d", len(stored.Graph), len(live.Graph))
-	}
-	for i := range stored.Graph {
-		a, b := stored.Graph[i], live.Graph[i]
-		if a.From != b.From || a.To != b.To || math.Float64bits(a.Q) != math.Float64bits(b.Q) {
-			return fmt.Errorf("snapshot: graph edge %d (%d->%d q=%v) != live (%d->%d q=%v)",
-				i, a.From, a.To, a.Q, b.From, b.To, b.Q)
-		}
-	}
-	for i := range stored.Health {
-		if i < len(live.Health) && stored.Health[i] != live.Health[i] {
-			return fmt.Errorf("snapshot: cpu %d health %+v != live %+v", i, stored.Health[i], live.Health[i])
-		}
-	}
-	if len(stored.Health) != len(live.Health) {
-		return fmt.Errorf("snapshot: health records %d != live %d", len(stored.Health), len(live.Health))
-	}
-	if stored.ModelFLOPs != live.ModelFLOPs {
-		return fmt.Errorf("snapshot: model flops %d != live %d", stored.ModelFLOPs, live.ModelFLOPs)
-	}
-	if stored.ObsDigest != live.ObsDigest {
-		return fmt.Errorf("snapshot: obs digest %016x != live %016x", stored.ObsDigest, live.ObsDigest)
-	}
-	if stored.CheckpointEvery != live.CheckpointEvery || stored.NextCheckpoint != live.NextCheckpoint {
-		return fmt.Errorf("snapshot: checkpoint schedule (every %d, next %d) != live (every %d, next %d)",
-			stored.CheckpointEvery, stored.NextCheckpoint, live.CheckpointEvery, live.NextCheckpoint)
-	}
-	return fmt.Errorf("snapshot: states differ (encoding mismatch not attributed to a named field)")
-}
-
-func diffConfig(stored, live *State) error {
-	if len(stored.Config) != len(live.Config) {
-		return fmt.Errorf("snapshot: config has %d keys, live run %d", len(stored.Config), len(live.Config))
-	}
-	for i := range stored.Config {
-		if stored.Config[i] != live.Config[i] {
-			return fmt.Errorf("snapshot: config %s=%q, live run %s=%q",
-				stored.Config[i].K, stored.Config[i].V, live.Config[i].K, live.Config[i].V)
-		}
-	}
-	return nil
-}
-
-func diffThreads(stored, live []ThreadState) error {
-	if len(stored) != len(live) {
-		return fmt.Errorf("snapshot: %d threads, live %d", len(stored), len(live))
-	}
-	for i := range stored {
-		a, b := stored[i], live[i]
-		if a.ID != b.ID || a.Name != b.Name || a.Status != b.Status ||
-			a.BlockedOn != b.BlockedOn || a.CPU != b.CPU || a.Cycles != b.Cycles ||
-			a.DispatchClock != b.DispatchClock || a.DispatchCount != b.DispatchCount ||
-			a.DispatchMisses != b.DispatchMisses || a.ReadyClock != b.ReadyClock ||
-			a.RNG != b.RNG {
-			return fmt.Errorf("snapshot: thread t%d %+v != live %+v", a.ID, a, b)
-		}
-		if !int64sEqual(a.Joiners, b.Joiners) {
-			return fmt.Errorf("snapshot: thread t%d joiner list %v != live %v", a.ID, a.Joiners, b.Joiners)
-		}
-	}
-	return nil
-}
-
-func diffSched(stored, live *SchedState) error {
-	if stored.DispatchCount != live.DispatchCount || stored.Escapes != live.Escapes {
-		return fmt.Errorf("snapshot: sched dispatches/escapes (%d, %d) != live (%d, %d)",
-			stored.DispatchCount, stored.Escapes, live.DispatchCount, live.Escapes)
-	}
-	if stored.Ops != live.Ops {
-		return fmt.Errorf("snapshot: sched ops %v != live %v", stored.Ops, live.Ops)
-	}
-	if len(stored.Threads) != len(live.Threads) {
-		return fmt.Errorf("snapshot: sched tracks %d threads, live %d", len(stored.Threads), len(live.Threads))
-	}
-	for i := range stored.Threads {
-		a, b := stored.Threads[i], live.Threads[i]
-		if a.ID != b.ID || a.Runnable != b.Runnable || a.Running != b.Running ||
-			a.InGlobal != b.InGlobal || a.InSpawn != b.InSpawn || len(a.Entries) != len(b.Entries) {
-			return fmt.Errorf("snapshot: sched thread t%d flags %+v != live %+v", a.ID, a, b)
-		}
-		for j := range a.Entries {
-			ea, eb := a.Entries[j], b.Entries[j]
-			if ea.CPU != eb.CPU || ea.M0 != eb.M0 || ea.DispatchM != eb.DispatchM || ea.HeapIdx != eb.HeapIdx ||
-				math.Float64bits(ea.S) != math.Float64bits(eb.S) ||
-				math.Float64bits(ea.SLast) != math.Float64bits(eb.SLast) ||
-				math.Float64bits(ea.Prio) != math.Float64bits(eb.Prio) ||
-				math.Float64bits(ea.DispatchS) != math.Float64bits(eb.DispatchS) {
-				return fmt.Errorf("snapshot: sched entry (t%d, cpu%d) %+v != live %+v", a.ID, ea.CPU, ea, eb)
-			}
-		}
-	}
-	for cpu := range stored.Heaps {
-		if cpu < len(live.Heaps) && !int64sEqual(stored.Heaps[cpu], live.Heaps[cpu]) {
-			return fmt.Errorf("snapshot: cpu %d heap %v != live %v", cpu, stored.Heaps[cpu], live.Heaps[cpu])
-		}
-	}
-	for cpu := range stored.Spawn {
-		if cpu < len(live.Spawn) && !int64sEqual(stored.Spawn[cpu], live.Spawn[cpu]) {
-			return fmt.Errorf("snapshot: cpu %d spawn stack %v != live %v", cpu, stored.Spawn[cpu], live.Spawn[cpu])
-		}
-	}
-	if len(stored.Global) != len(live.Global) {
-		return fmt.Errorf("snapshot: global queue holds %d entries, live %d", len(stored.Global), len(live.Global))
-	}
-	for i := range stored.Global {
-		if stored.Global[i] != live.Global[i] {
-			return fmt.Errorf("snapshot: global queue entry %d %+v != live %+v", i, stored.Global[i], live.Global[i])
-		}
-	}
-	for cpu := range stored.Quarantine {
-		if cpu < len(live.Quarantine) && stored.Quarantine[cpu] != live.Quarantine[cpu] {
-			return fmt.Errorf("snapshot: cpu %d quarantine %v != live %v", cpu, stored.Quarantine[cpu], live.Quarantine[cpu])
-		}
-	}
-	return nil
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

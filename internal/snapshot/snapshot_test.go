@@ -3,11 +3,14 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -97,6 +100,81 @@ func TestFingerprintSensitive(t *testing.T) {
 	}
 }
 
+// bigState is sampleState grown by n threads, each with a scheduler
+// entry per CPU, a joiner and a graph edge — the shape a long-running
+// session checkpoints.
+func bigState(n int) *State {
+	s := sampleState()
+	for i := 0; i < n; i++ {
+		id := int64(100 + i)
+		s.Threads = append(s.Threads, ThreadState{
+			ID: id, Name: fmt.Sprintf("worker-%d", i), Status: uint8(i % 4), CPU: int32(i % 4),
+			Cycles: uint64(i) * 1000, DispatchCount: uint64(i), RNG: uint64(i) * 0x9e3779b97f4a7c15,
+			Joiners: []int64{id - 1},
+		})
+		st := SchedThread{ID: id, Runnable: i%2 == 0}
+		for cpu := int32(0); cpu < 4; cpu++ {
+			st.Entries = append(st.Entries, SchedEntry{CPU: cpu, S: float64(i) / 3, SLast: float64(cpu), M0: uint64(i), Prio: 0.5, HeapIdx: -1})
+		}
+		s.Sched.Threads = append(s.Sched.Threads, st)
+		s.Graph = append(s.Graph, GraphEdge{From: id, To: id - 1, Q: 1 / float64(i+1)})
+	}
+	return s
+}
+
+// TestPayloadLayoutPinned pins the wire format: the fingerprint and
+// container size of a fully-populated and an empty state. Any change
+// to a walk method's field order or encoding moves these, and must
+// come with a Version bump.
+func TestPayloadLayoutPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		s     *State
+		fp    uint64
+		bytes int
+	}{
+		{"sample", sampleState(), 0xe33ee1dce82641b6, 907},
+		{"empty", &State{}, 0x97b6fe77e6b3fffd, 216},
+	} {
+		var buf bytes.Buffer
+		if err := tc.s.Save(&buf); err != nil {
+			t.Fatalf("%s: Save: %v", tc.name, err)
+		}
+		if fp := tc.s.Fingerprint(); fp != tc.fp || buf.Len() != tc.bytes {
+			t.Errorf("%s: fingerprint %#x, %d bytes; want %#x, %d bytes", tc.name, fp, buf.Len(), tc.fp, tc.bytes)
+		}
+	}
+}
+
+// BenchmarkCodec times Save and Load of a 130-thread state.
+func BenchmarkCodec(b *testing.B) {
+	s := bigState(128)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := append([]byte(nil), buf.Bytes()...)
+	b.Run("Save", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := s.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Load", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -174,30 +252,60 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			t.Fatalf("want count error, got %v", err)
 		}
 	})
+	t.Run("hostile length", func(t *testing.T) {
+		// A valid header claiming 2 GiB in front of 10 bytes must be
+		// reported as truncated without allocating the claimed length.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(hugeClaim()))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("want truncation error, got %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("Load allocated %d bytes for a 10-byte payload", grew)
+		}
+	})
+}
+
+// hugeClaim is a valid header claiming a 1<<31-byte payload, followed
+// by only 10 payload bytes.
+func hugeClaim() []byte {
+	b := make([]byte, 28, 38)
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint32(b[8:12], Version)
+	binary.LittleEndian.PutUint64(b[12:20], 1<<31)
+	return append(b, make([]byte, 10)...)
 }
 
 func crcOf(p []byte) uint64 {
 	return crc64.Checksum(p, crc64.MakeTable(crc64.ECMA))
 }
 
+// TestDiffNamesFirstDivergence checks that Diff names the exact leaf
+// path of the first divergent field, with both values.
 func TestDiffNamesFirstDivergence(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*State)
 		want   string
 	}{
-		{"config", func(s *State) { s.Config[1].V = "8" }, "config"},
-		{"seed", func(s *State) { s.Seed++ }, "seed"},
-		{"clock", func(s *State) { s.Now++ }, "virtual clock"},
-		{"cpu", func(s *State) { s.CPUs[1].Misses++ }, "cpu 1"},
-		{"thread", func(s *State) { s.Threads[1].Cycles++ }, "thread t3"},
-		{"joiner", func(s *State) { s.Threads[1].Joiners[0] = 2 }, "joiner"},
-		{"sched entry", func(s *State) { s.Sched.Threads[0].Entries[0].S = 13 }, "sched entry"},
-		{"heap", func(s *State) { s.Sched.Heaps[0][0] = 7 }, "heap"},
-		{"graph", func(s *State) { s.Graph[0].Q = 0.75 }, "graph edge"},
-		{"health", func(s *State) { s.Health[0].Rejected++ }, "health"},
-		{"obs", func(s *State) { s.ObsDigest++ }, "obs digest"},
-		{"negzero", func(s *State) { s.Sched.Threads[0].Entries[0].SLast = 0 }, "sched entry"},
+		{"config", func(s *State) { s.Config[1].V = "8" }, `Config[1].V = "4", live "8"`},
+		{"seed", func(s *State) { s.Seed++ }, "Seed = 42, live 43"},
+		{"clock", func(s *State) { s.Now++ }, "Now = 250001, live 250002"},
+		{"cpu", func(s *State) { s.CPUs[1].Misses++ }, "CPUs[1].Misses = 12, live 13"},
+		{"thread", func(s *State) { s.Threads[1].Cycles++ }, "Threads[1].Cycles = 5000, live 5001"},
+		{"joiner", func(s *State) { s.Threads[1].Joiners[0] = 2 }, "Threads[1].Joiners[0] = 1, live 2"},
+		{"sched entry", func(s *State) { s.Sched.Threads[0].Entries[0].S = 13 },
+			"Sched.Threads[0].Entries[0].S = 12.5 (bits 0x4029000000000000), live 13 (bits 0x402a000000000000)"},
+		{"heap", func(s *State) { s.Sched.Heaps[0][0] = 7 }, "Sched.Heaps[0][0] = 3, live 7"},
+		{"graph", func(s *State) { s.Graph[0].Q = 0.75 },
+			"Graph[0].Q = 0.5 (bits 0x3fe0000000000000), live 0.75 (bits 0x3fe8000000000000)"},
+		{"health", func(s *State) { s.Health[0].Rejected++ }, "Health[0].Rejected = 1, live 2"},
+		{"obs", func(s *State) { s.ObsDigest++ }, "ObsDigest = 1234605616436508552, live 1234605616436508553"},
+		{"negzero", func(s *State) { s.Sched.Threads[0].Entries[0].SLast = 0 },
+			"Sched.Threads[0].Entries[0].SLast = -0 (bits 0x8000000000000000), live 0 (bits 0x0000000000000000)"},
+		{"extra thread", func(s *State) { s.Threads = append(s.Threads, ThreadState{ID: 9}) }, "len(Threads) = 2, live 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,11 +318,42 @@ func TestDiffNamesFirstDivergence(t *testing.T) {
 			if err == nil {
 				t.Fatalf("mutation not detected")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("diff %q does not mention %q", err, tc.want)
+			if want := "snapshot: " + tc.want; err.Error() != want {
+				t.Fatalf("diff %q, want %q", err, want)
 			}
 		})
 	}
+}
+
+// TestCodecConcurrent runs the recycled codecs from several goroutines
+// at once: each must see only its own state's bytes.
+func TestCodecConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := bigState(8 * g)
+			want := s.Fingerprint()
+			for i := 0; i < 50; i++ {
+				var buf bytes.Buffer
+				if err := s.Save(&buf); err != nil {
+					t.Errorf("Save: %v", err)
+					return
+				}
+				got, err := Load(&buf)
+				if err != nil {
+					t.Errorf("Load: %v", err)
+					return
+				}
+				if !Equal(s, got) || got.Fingerprint() != want {
+					t.Errorf("goroutine %d: round trip diverged: %v", g, Diff(s, got))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestWriteFileAtomic(t *testing.T) {

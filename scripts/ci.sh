@@ -54,6 +54,11 @@ go test -run 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEndsAtDelete
 go test -run 'TestSharedDegenerates' ./internal/machine
 go test -run 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS' ./internal/experiments
 
+# Snapshot format gates: the payload bytes stay pinned, Diff names the
+# exact leaf path of a divergence, and a hostile or corrupt container
+# fails with a bounded allocation.
+go test -run 'TestPayloadLayoutPinned|TestDiffNamesFirstDivergence|TestLoadRejectsCorruption' ./internal/snapshot
+
 # Crash-safety gates. First the in-process differential (resume from
 # any checkpoint reproduces the uninterrupted run bit for bit, with
 # telemetry and under counter faults), then a real kill-resume pass:
