@@ -1,10 +1,11 @@
 package rt
 
-// Crash safety. A checkpoint is a complete bit-exact capture of the
-// engine's state at a virtual-cycle boundary — thread table, scheduler
-// footprints and queues, sharing graph, sanitizer state, per-CPU
-// clocks/counters/timers, RNG streams, and an obs digest — written
-// atomically to disk on a fixed virtual-cycle schedule.
+// Crash safety. A checkpoint is a receipt for the engine's state at a
+// virtual-cycle boundary — run identity, step cursor and clock, an obs
+// digest, and one digest per state section (engine scalars, per-CPU
+// clocks/counters, timers, thread table, scheduler footprints and
+// queues, sharing graph, sanitizer state) — written atomically to disk
+// on a fixed virtual-cycle schedule.
 //
 // Resume works by verified deterministic fast-forward. Thread bodies
 // live on Go goroutine stacks, which cannot be serialized; what CAN be
@@ -12,17 +13,18 @@ package rt
 // simulation, so re-executing the same workload reproduces the same
 // state. A resumed engine therefore runs the workload from step 0
 // with checkpoint writing suppressed; when it reaches the snapshot's
-// step cursor it captures its live state and compares it against the
-// stored capture field by field, bit for bit. A match proves the
-// resumed run IS the interrupted run — every subsequent golden, trace
-// and export is byte-identical to an uninterrupted run's by
-// construction — and checkpoint writing then continues on the
-// original boundary schedule. Any divergence (different binary, flags,
-// seed, or a corrupted file that still passed its CRC) aborts with a
-// field-level diff instead of silently producing different results.
-// The capture itself is read-only, so enabling checkpoints never
-// perturbs a run: goldens with and without -checkpoint-every are
-// identical, which is also what makes the fast-forward exact.
+// step cursor it seals its live state and compares the receipts: the
+// cursor and identity fields by value, every state section by digest.
+// A match proves the resumed run IS the interrupted run — every
+// subsequent golden, trace and export is byte-identical to an
+// uninterrupted run's by construction — and checkpoint writing then
+// continues on the original boundary schedule. Any divergence
+// (different binary, flags, seed, or a corrupted file that still
+// passed its CRC) aborts, naming the divergent field or section,
+// instead of silently producing different results. The capture itself
+// is read-only, so enabling checkpoints never perturbs a run: goldens
+// with and without -checkpoint-every are identical, which is also
+// what makes the fast-forward exact.
 
 import (
 	"fmt"
@@ -105,8 +107,8 @@ func (e *Engine) initCheckpoint(cfg CheckpointConfig) error {
 		if got, want := e.opts.Seed, r.Seed; got != want {
 			return fmt.Errorf("rt: resume snapshot was seeded %d, engine is seeded %d", want, got)
 		}
-		if err := sameConfig(r.Config, c.config); err != nil {
-			return err
+		if err := snapshot.SameConfig(r.Config, c.config); err != nil {
+			return fmt.Errorf("rt: resume snapshot was written under another run config: %w", err)
 		}
 		c.next = r.NextCheckpoint
 	} else {
@@ -119,32 +121,15 @@ func (e *Engine) initCheckpoint(cfg CheckpointConfig) error {
 	return nil
 }
 
-// sameConfig compares two sorted KV listings and names the first
-// mismatched key.
-func sameConfig(stored, live []snapshot.KV) error {
-	for i := 0; i < len(stored) || i < len(live); i++ {
-		var s, l snapshot.KV
-		if i < len(stored) {
-			s = stored[i]
-		}
-		if i < len(live) {
-			l = live[i]
-		}
-		if s != l {
-			return fmt.Errorf("rt: resume snapshot was written under config %s=%q, this run has %s=%q", s.K, s.V, l.K, l.V)
-		}
-	}
-	return nil
-}
-
 // Resuming reports whether the engine is still fast-forwarding toward
 // an unverified resume snapshot.
 func (e *Engine) Resuming() bool { return e.ckpt.resume != nil }
 
-// CaptureState captures the engine's complete state as a snapshot. It
-// is strictly read-only — capturing never perturbs the run — and valid
-// at any engine-loop boundary, including after a cancelled run (the
-// partial state of an interrupted run is itself snapshottable).
+// CaptureState captures the engine's state as a sealed snapshot
+// receipt. It is strictly read-only — capturing never perturbs the run
+// — and valid at any engine-loop boundary, including after a cancelled
+// run (the partial state of an interrupted run is itself
+// snapshottable).
 func (e *Engine) CaptureState() *snapshot.State {
 	st := &snapshot.State{
 		Config:          append([]snapshot.KV(nil), e.ckpt.config...),
@@ -156,16 +141,18 @@ func (e *Engine) CaptureState() *snapshot.State {
 		NextCheckpoint:  e.ckpt.next,
 		Steps:           e.steps,
 		Now:             e.now,
-		NextID:          int64(e.nextID),
-		Live:            int32(e.live),
-		TimerSeq:        e.timerSeq,
-		EngineRNG:       e.rng.State(),
-		Sched:           e.sched.ExportState(),
 		ObsDigest:       e.obs.StateDigest(),
+	}
+	c := snapshot.Capture{
+		NextID:    int64(e.nextID),
+		Live:      int32(e.live),
+		TimerSeq:  e.timerSeq,
+		EngineRNG: e.rng.State(),
+		Sched:     e.sched.ExportState(),
 	}
 	for p, cpu := range e.cpus {
 		snap := cpu.ReadCounters()
-		c := snapshot.CPUState{
+		cs := snapshot.CPUState{
 			Clock: cpu.Cycles(), Misses: cpu.Misses(),
 			Refs: snap.Refs, Hits: snap.Hits,
 			BaseRefs: e.picBase[p].Refs, BaseHits: e.picBase[p].Hits,
@@ -173,12 +160,12 @@ func (e *Engine) CaptureState() *snapshot.State {
 			Parked: e.parked[p], Running: -1,
 		}
 		if t := e.running[p]; t != nil {
-			c.Running = int64(t.id)
+			cs.Running = int64(t.id)
 		}
-		st.CPUs = append(st.CPUs, c)
+		c.CPUs = append(c.CPUs, cs)
 	}
 	for _, tm := range e.timers {
-		st.Timers = append(st.Timers, snapshot.TimerState{
+		c.Timers = append(c.Timers, snapshot.TimerState{
 			WakeAt: tm.wakeAt, Seq: tm.seq, Thread: int64(tm.tid),
 		})
 	}
@@ -199,16 +186,16 @@ func (e *Engine) CaptureState() *snapshot.State {
 		for _, j := range t.joiners {
 			ts.Joiners = append(ts.Joiners, int64(j.id))
 		}
-		st.Threads = append(st.Threads, ts)
+		c.Threads = append(c.Threads, ts)
 	}
 	for _, edge := range e.graph.Export() {
-		st.Graph = append(st.Graph, snapshot.GraphEdge{
+		c.Graph = append(c.Graph, snapshot.GraphEdge{
 			From: int64(edge.From), To: int64(edge.To), Q: edge.Q,
 		})
 	}
 	for i := range e.health.cpus {
 		h := &e.health.cpus[i]
-		st.Health = append(st.Health, snapshot.HealthState{
+		c.Health = append(c.Health, snapshot.HealthState{
 			OK: h.OK, Suspect: h.Suspect, Rejected: h.Rejected,
 			Quarantines: h.Quarantines, Recoveries: h.Recoveries,
 			StreakRejected: int64(h.StreakRejected), StreakClean: int64(h.StreakClean),
@@ -216,8 +203,9 @@ func (e *Engine) CaptureState() *snapshot.State {
 		})
 	}
 	if e.mdl != nil {
-		st.ModelFLOPs = e.mdl.FLOPs()
+		c.ModelFLOPs = e.mdl.FLOPs()
 	}
+	st.Seal(&c)
 	return st
 }
 

@@ -299,19 +299,38 @@ func TestResumeRejectsForeignSnapshots(t *testing.T) {
 	}
 }
 
-// TestResumeDetectsDivergence corrupts a stored snapshot in a way
-// that survives the CRC (we mutate the in-memory state) and checks
-// the fast-forward verification catches it with a field-level diff.
+// TestResumeDetectsDivergence corrupts a stored snapshot in ways that
+// survive the CRC (the in-memory receipt is mutated: the clock, or one
+// section digest at a time) and checks the fast-forward verification
+// catches each, naming the field or section.
 func TestResumeDetectsDivergence(t *testing.T) {
 	build := func(opts Options) *Engine { return ckptEngine(t, opts) }
 	states, _ := runStraight(t, build, 5000)
 
-	bad := *states[1]
-	bad.Now++ // pretend the snapshot was taken one cycle later
-	e := build(Options{Checkpoint: CheckpointConfig{Resume: &bad}})
-	err := e.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "resume verification failed") {
-		t.Fatalf("err = %v, want resume verification failure", err)
+	type mutation struct {
+		name   string
+		mutate func(*snapshot.State)
+	}
+	cases := []mutation{
+		// Pretend the snapshot was taken one cycle later.
+		{"Now", func(s *snapshot.State) { s.Now++ }},
+	}
+	for sec := snapshot.Section(0); sec < snapshot.NumSections; sec++ {
+		cases = append(cases, mutation{"section " + sec.String(), func(s *snapshot.State) { s.Digests[sec] ^= 1 }})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *states[1]
+			tc.mutate(&bad)
+			e := build(Options{Checkpoint: CheckpointConfig{Resume: &bad}})
+			err := e.Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "resume verification failed") {
+				t.Fatalf("err = %v, want resume verification failure", err)
+			}
+			if !strings.Contains(err.Error(), "snapshot: "+tc.name+" = ") {
+				t.Fatalf("err = %v, want it to name %s", err, tc.name)
+			}
+		})
 	}
 }
 

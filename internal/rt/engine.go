@@ -177,12 +177,6 @@ type Engine struct {
 	OnEvent func(ev trace.Event)
 }
 
-// debugPark is a test/diagnostic hook observing park decisions.
-var debugPark func(cpu, spawn0 int)
-
-// SetDebugPark installs the park hook (diagnostics only).
-func SetDebugPark(fn func(cpu, spawn0 int)) { debugPark = fn }
-
 // ErrDeadlock is returned by Run when live threads remain but none can
 // ever become runnable again.
 var ErrDeadlock = errors.New("rt: deadlock: blocked threads with no wake source")
@@ -419,9 +413,6 @@ func (e *Engine) Run(ctx context.Context) error {
 			}
 			e.dispatch(p, tid)
 			continue
-		}
-		if debugPark != nil {
-			debugPark(p, e.sched.SpawnLen(0))
 		}
 		e.parked[p] = true
 	}

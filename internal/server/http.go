@@ -50,7 +50,8 @@ import (
 const maxBodyBytes = 1 << 20
 
 // maxMigrationBytes bounds an inbound migration envelope, whose
-// snapshot payload dwarfs every other request body.
+// retained obs tail (up to a ring's worth of events) dwarfs every
+// other request body.
 const maxMigrationBytes = 64 << 20
 
 // Handler returns the server's HTTP API.

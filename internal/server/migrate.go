@@ -725,18 +725,8 @@ func verifySnapshotMatches(raw []byte, cfg SessionConfig) error {
 	if st.CheckpointEvery != cfg.Quantum {
 		return fmt.Errorf("migrated snapshot quantum %d does not match config quantum %d", st.CheckpointEvery, cfg.Quantum)
 	}
-	want := cfg.kv()
-	if len(st.Config) != len(want) {
-		return fmt.Errorf("migrated snapshot config record has %d fields, want %d", len(st.Config), len(want))
-	}
-	wantByKey := make(map[string]string, len(want))
-	for _, kv := range want {
-		wantByKey[kv.K] = kv.V
-	}
-	for _, kv := range st.Config {
-		if v, ok := wantByKey[kv.K]; !ok || v != kv.V {
-			return fmt.Errorf("migrated snapshot config field %q=%q does not match session config", kv.K, kv.V)
-		}
+	if err := snapshot.SameConfig(st.Config, cfg.kv()); err != nil {
+		return fmt.Errorf("migrated snapshot config record does not match the session config: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/retry"
+	"repro/internal/snapshot"
 )
 
 // The migration tests run a pair of instances the way soak.sh does —
@@ -660,5 +662,59 @@ func TestMigrateConcurrentStepFences(t *testing.T) {
 	fp := mustFinish(t, b.server(), info.ID).Result.Fingerprint
 	if want := controlFingerprint(t, b.server(), cfg); fp != want {
 		t.Errorf("migrated-under-load fingerprint %s != control %s", fp, want)
+	}
+}
+
+// TestMigrateEnvelopeCarriesReceipt: the transfer envelope ships the
+// session's snapshot receipt, not a state payload, so it stays under
+// 1 KiB.
+func TestMigrateEnvelopeCarriesReceipt(t *testing.T) {
+	s := newTestServer(t, nil)
+	ctx := context.Background()
+	info := mustCreate(t, s, "", testSessionConfig(508))
+	if _, err := s.Step(ctx, info.ID, 3); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	if _, err := s.Evict(ctx, info.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	sess, err := s.lookup(info.ID)
+	if err != nil {
+		t.Fatalf("lookup: %v", err)
+	}
+	env, err := s.buildEnvelope(sess, 1)
+	if err != nil {
+		t.Fatalf("buildEnvelope: %v", err)
+	}
+	if n := len(env.Snapshot); n == 0 || n >= 1024 {
+		t.Fatalf("envelope snapshot is %d bytes, want a receipt under 1 KiB", n)
+	}
+}
+
+// TestVerifySnapshotMatchesConfigRecord: a transferred snapshot whose
+// config record repeats one key in place of another has the right
+// length but the wrong record, and is refused before it is persisted.
+func TestVerifySnapshotMatchesConfigRecord(t *testing.T) {
+	cfg := testSessionConfig(509)
+	st := &snapshot.State{Config: cfg.kv(), Policy: cfg.Policy, Seed: cfg.Seed, CheckpointEvery: cfg.Quantum}
+	raw := func() []byte {
+		var buf bytes.Buffer
+		if err := st.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		return buf.Bytes()
+	}
+	if err := verifySnapshotMatches(raw(), cfg); err != nil {
+		t.Fatalf("matching record refused: %v", err)
+	}
+	var keys []string
+	for i, kv := range st.Config {
+		if kv.K == "scale" {
+			st.Config[i] = st.Config[0]
+		}
+		keys = append(keys, st.Config[i].K)
+	}
+	if err := verifySnapshotMatches(raw(), cfg); err == nil || !strings.Contains(err.Error(), "config") {
+		t.Fatalf("record %v accepted (err %v), want a config mismatch", keys, err)
 	}
 }

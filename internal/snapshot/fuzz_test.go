@@ -8,11 +8,11 @@ import (
 
 // FuzzLoadSnapshot pins the contract that Load never panics: any byte
 // stream — corrupted, truncated, version-skewed, or hostile — either
-// decodes to a State that re-encodes cleanly or fails with an error.
+// reads as a receipt that re-encodes cleanly or fails with an error.
 // Mirrors internal/trace's FuzzLoadRecording. ci.sh runs this as a
 // short smoke.
 func FuzzLoadSnapshot(f *testing.F) {
-	// Valid snapshots, full and empty.
+	// Valid receipts, sealed and zero.
 	var buf bytes.Buffer
 	if err := sampleState().Save(&buf); err != nil {
 		f.Fatal(err)

@@ -1,43 +1,46 @@
 // Package snapshot defines the versioned, checksummed on-disk format
-// for engine checkpoints: one State value is a bit-exact capture of
-// the complete locality-runtime state at a virtual-cycle boundary —
-// the thread table and run states, the scheduler's footprint entries
-// S/SLast/M0/priority and queue structures, the dependency graph G
-// with its q weights, the counter sanitizer and quarantine state, the
-// per-CPU virtual clocks, counters and pending timers, every RNG
-// stream, and a digest of the observability registries.
+// for engine checkpoints. A checkpoint is a receipt, not a payload: it
+// holds the run's identity (config, policy, geometry, seed), its
+// checkpoint schedule, the step cursor and virtual clock, the
+// observability digest, and one 64-bit digest per section of the
+// engine state at that cursor — the engine scalars, the per-CPU
+// clocks and counters, the pending timers, the thread table, the
+// scheduler's footprint entries S/SLast/M0/priority and queues, the
+// dependency graph G with its q weights, and the counter sanitizer
+// and quarantine state.
 //
-// The engine is a deterministic sequential simulation, so a snapshot
-// does not need to serialize thread stacks (which live on Go
-// goroutines and cannot be captured): a resumed run re-executes
-// deterministically from the start, and when it reaches the snapshot's
-// step cursor the live state is compared against the capture
-// bit-for-bit. A match proves the resumed run is the same run — every
+// The engine is a deterministic sequential simulation, so nothing is
+// ever restored from a snapshot (thread stacks live on Go goroutines
+// and cannot be captured anyway): a resumed run re-executes
+// deterministically from the start, and when it reaches the
+// snapshot's step cursor it seals its live state and compares the
+// receipts. A match proves the resumed run is the same run — every
 // later golden, trace and export is then byte-identical to an
 // uninterrupted run by construction — while any divergence (different
-// binary, different flags, corrupted file) fails loudly with a
-// field-level diff instead of silently producing different science.
-// docs/SNAPSHOT.md is the format reference.
+// binary, different flags, corrupted file) fails loudly, naming the
+// divergent field or state section, instead of silently producing
+// different science. docs/SNAPSHOT.md is the format reference.
 //
 // Files are written atomically (temp file + fsync + rename, via
 // internal/fsatomic), so a process killed mid-checkpoint leaves either
 // the previous complete snapshot or the new one — never a torn file.
-// Load validates the magic, version, length and CRC before decoding,
-// decodes with bounds checks everywhere, and returns descriptive
-// errors — it never panics on malformed input (FuzzLoadSnapshot pins
-// this, mirroring the internal/trace fuzz pattern).
+// Load validates the magic, version, length and CRC before reading
+// the receipt, bounds every count by the bytes present, and returns
+// descriptive errors — it never panics on malformed input
+// (FuzzLoadSnapshot pins this, mirroring the internal/trace fuzz
+// pattern).
 package snapshot
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"io"
 	"math"
 	"os"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -45,23 +48,24 @@ import (
 )
 
 // Version is the current snapshot format version. Bump it on any
-// change to the payload layout; Load refuses other versions with a
-// descriptive error (see docs/SNAPSHOT.md for the compatibility
-// policy: snapshots are re-creatable from the run config, so there is
-// no cross-version migration — a version skew means "re-run").
-const Version = 1
+// change to the receipt layout or to what a section digest covers;
+// Load refuses other versions with a descriptive error (see
+// docs/SNAPSHOT.md for the compatibility policy: snapshots are
+// re-creatable from the run config, so there is no cross-version
+// migration — a version skew means "re-run").
+const Version = 2
 
 // magic identifies a snapshot file. The trailing \r\n catches ASCII
 // transfer mangling, as PNG's magic does.
 var magic = [8]byte{'A', 'T', 'S', 'N', 'A', 'P', '\r', '\n'}
 
-// crcTable is the ECMA polynomial table used for the payload checksum.
+// crcTable is the ECMA polynomial table used for the payload checksum
+// and the section digests.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// maxStringLen bounds any decoded string (names, config values,
-// diagnostics) so a hostile length prefix cannot drive a huge
-// allocation.
-const maxStringLen = 1 << 20
+// maxPayload bounds the receipt payload Load accepts. A receipt is a
+// few hundred bytes; the bound leaves room for long config records.
+const maxPayload = 1 << 20
 
 // KV is one runner-level configuration pair recorded in the snapshot
 // (application name, policy, scale, fault spec, ...). The engine
@@ -69,6 +73,79 @@ const maxStringLen = 1 << 20
 // silently applied to a differently-configured run.
 type KV struct {
 	K, V string
+}
+
+// Section names one digested part of the engine state.
+type Section int
+
+// The sections, in digest order.
+const (
+	SectionEngine  Section = iota // NextID, Live, TimerSeq, EngineRNG, ModelFLOPs
+	SectionCPUs                   // Capture.CPUs
+	SectionTimers                 // Capture.Timers
+	SectionThreads                // Capture.Threads
+	SectionSched                  // Capture.Sched
+	SectionGraph                  // Capture.Graph
+	SectionHealth                 // Capture.Health
+	NumSections
+)
+
+var sectionNames = [NumSections]string{"engine", "cpus", "timers", "threads", "sched", "graph", "health"}
+
+func (s Section) String() string { return sectionNames[s] }
+
+// State is one checkpoint receipt. All fields are persisted; two
+// receipts are "the same state" exactly when Diff finds nothing.
+type State struct {
+	// Config is the runner-level run configuration, sorted by key.
+	Config []KV
+	// Policy/NCPU/CacheLines/Seed pin the engine geometry a resume
+	// must reproduce.
+	Policy     string
+	NCPU       int32
+	CacheLines int64
+	Seed       uint64
+
+	// CheckpointEvery is the virtual-cycle checkpoint interval the run
+	// was using; NextCheckpoint the boundary after this one. Resume
+	// inherits both so a resumed run writes the same later
+	// checkpoints an uninterrupted run would. They are writer
+	// metadata, not simulation state, so no digest covers them.
+	CheckpointEvery uint64
+	NextCheckpoint  uint64
+
+	// Steps is the engine-step cursor the capture was taken at (top of
+	// the run loop, before the step executes); Now the engine's global
+	// virtual clock there.
+	Steps uint64
+	Now   uint64
+
+	// ObsDigest is a 64-bit FNV-1a digest of the observability state
+	// (metric registries and event rings), or 0 when observability is
+	// off.
+	ObsDigest uint64
+	// Digests holds, per Section, the CRC64 of that section's
+	// canonical encoding in the Capture the receipt was sealed from.
+	Digests [NumSections]uint64
+}
+
+// Capture is the engine state at a boundary that a receipt keeps only
+// as section digests: everything a resume re-derives by replay.
+type Capture struct {
+	NextID   int64
+	Live     int32
+	TimerSeq uint64
+	// EngineRNG is the engine's own SplitMix64 state.
+	EngineRNG uint64
+	// ModelFLOPs is the model's floating-point operation count.
+	ModelFLOPs uint64
+
+	CPUs    []CPUState
+	Timers  []TimerState
+	Threads []ThreadState
+	Sched   SchedState
+	Graph   []GraphEdge
+	Health  []HealthState
 }
 
 // CPUState is one processor's captured state.
@@ -122,7 +199,7 @@ type ThreadState struct {
 }
 
 // SchedEntry is one (thread, CPU) footprint record of the scheduler.
-// Floats are compared bit-exactly by Diff.
+// Floats are digested as their bits.
 type SchedEntry struct {
 	CPU       int32
 	S         float64
@@ -188,53 +265,6 @@ type HealthState struct {
 	Quarantined             bool
 }
 
-// State is one complete engine capture. All fields participate in the
-// canonical encoding; two States are "the same state" exactly when
-// their Encode bytes are equal.
-type State struct {
-	// Config is the runner-level run configuration, sorted by key.
-	Config []KV
-	// Policy/NCPU/CacheLines/Seed pin the engine geometry a resume
-	// must reproduce.
-	Policy     string
-	NCPU       int32
-	CacheLines int64
-	Seed       uint64
-
-	// CheckpointEvery is the virtual-cycle checkpoint interval the run
-	// was using; NextCheckpoint the boundary after this one. Resume
-	// inherits both so a resumed run writes the same later
-	// checkpoints an uninterrupted run would.
-	CheckpointEvery uint64
-	NextCheckpoint  uint64
-
-	// Steps is the engine-step cursor the capture was taken at (top of
-	// the run loop, before the step executes); Now the engine's global
-	// virtual clock there.
-	Steps uint64
-	Now   uint64
-
-	NextID   int64
-	Live     int32
-	TimerSeq uint64
-	// EngineRNG is the engine's own SplitMix64 state.
-	EngineRNG uint64
-
-	CPUs    []CPUState
-	Timers  []TimerState
-	Threads []ThreadState
-	Sched   SchedState
-	Graph   []GraphEdge
-	Health  []HealthState
-
-	// ModelFLOPs is the model's floating-point operation count.
-	ModelFLOPs uint64
-	// ObsDigest is a 64-bit FNV-1a digest of the observability state
-	// (metric registries and event rings), or 0 when observability is
-	// off.
-	ObsDigest uint64
-}
-
 // ConfigValue returns the value of config key k, or "".
 func (s *State) ConfigValue(k string) string {
 	for _, kv := range s.Config {
@@ -245,29 +275,37 @@ func (s *State) ConfigValue(k string) string {
 	return ""
 }
 
-// Fingerprint is the CRC64 of the canonical encoding — a compact
+// Seal sets s.Digests from c, one CRC64 per section.
+func (s *State) Seal(c *Capture) {
+	e := newEncoder()
+	defer e.release()
+	c.walk(e)
+	s.Digests = e.sums
+}
+
+// Fingerprint is the CRC64 of the receipt's encoding — a compact
 // identity for "this exact state" (the soak harness compares final
 // fingerprints across kill/resume schedules).
 func (s *State) Fingerprint() uint64 {
-	c := s.encode()
-	defer c.release()
-	return crc64.Checksum(c.buf, crcTable)
+	e := s.encode()
+	defer e.release()
+	return crc64.Checksum(e.buf, crcTable)
 }
 
 // Save writes the snapshot to w: magic, version, payload length,
 // payload CRC64, payload.
 func (s *State) Save(w io.Writer) error {
-	c := s.encode()
-	defer c.release()
+	e := s.encode()
+	defer e.release()
 	var hdr [28]byte
 	copy(hdr[0:8], magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(c.buf)))
-	binary.LittleEndian.PutUint64(hdr[20:28], crc64.Checksum(c.buf, crcTable))
+	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(e.buf)))
+	binary.LittleEndian.PutUint64(hdr[20:28], crc64.Checksum(e.buf, crcTable))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("snapshot: write header: %w", err)
 	}
-	if _, err := w.Write(c.buf); err != nil {
+	if _, err := w.Write(e.buf); err != nil {
 		return fmt.Errorf("snapshot: write payload: %w", err)
 	}
 	return nil
@@ -282,9 +320,8 @@ func (s *State) WriteFile(path string) error {
 
 // Load reads and validates a snapshot. Errors are descriptive
 // (truncation offsets, version skew, checksum mismatch); malformed
-// input never panics. The payload buffer grows only as bytes arrive,
-// so memory follows the bytes present, not the length the header
-// claims.
+// input never panics. The payload is read as its bytes arrive, so
+// memory follows the bytes present, not the length the header claims.
 func Load(r io.Reader) (*State, error) {
 	var hdr [28]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -297,33 +334,46 @@ func Load(r io.Reader) (*State, error) {
 	if version != Version {
 		return nil, fmt.Errorf("snapshot: format version %d; this binary reads version %d — re-run from the original configuration instead of resuming", version, Version)
 	}
+	// Read up to the bound as bytes arrive: a stream shorter than its
+	// claim is truncated, whatever it claims.
 	size := binary.LittleEndian.Uint64(hdr[12:20])
-	const maxPayload = 1 << 31
-	if size > maxPayload {
-		return nil, fmt.Errorf("snapshot: payload length %d exceeds the %d-byte bound", size, maxPayload)
-	}
-	c := newCodec(true)
-	defer c.release()
-	buf := bytes.NewBuffer(c.buf)
-	buf.Grow(int(min(size, 1<<16)) + bytes.MinRead)
-	_, err := buf.ReadFrom(io.LimitReader(r, int64(size)))
-	if c.buf = buf.Bytes(); err == nil && uint64(len(c.buf)) < size {
+	want := min(size, maxPayload)
+	payload, err := io.ReadAll(io.LimitReader(r, int64(want)))
+	if err == nil && uint64(len(payload)) < want {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: payload truncated at byte %d of %d: %w", len(c.buf), size, err)
+		return nil, fmt.Errorf("snapshot: payload truncated at byte %d of %d: %w", len(payload), size, err)
 	}
-	want := binary.LittleEndian.Uint64(hdr[20:28])
-	if got := crc64.Checksum(c.buf, crcTable); got != want {
-		return nil, fmt.Errorf("snapshot: checksum mismatch (stored %016x, computed %016x): file corrupted", want, got)
+	if size > maxPayload {
+		return nil, fmt.Errorf("snapshot: payload length %d exceeds the %d-byte bound", size, maxPayload)
 	}
+	sum := binary.LittleEndian.Uint64(hdr[20:28])
+	if got := crc64.Checksum(payload, crcTable); got != sum {
+		return nil, fmt.Errorf("snapshot: checksum mismatch (stored %016x, computed %016x): file corrupted", sum, got)
+	}
+	d := decoder{buf: payload}
 	st := &State{}
-	st.walk(c)
-	if c.err != nil {
-		return nil, c.err
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		st.Config = append(st.Config, KV{K: d.str(), V: d.str()})
 	}
-	if c.off != len(c.buf) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after state at offset %d", len(c.buf)-c.off, c.off)
+	st.Policy = d.str()
+	st.NCPU = int32(d.word(4))
+	st.CacheLines = int64(d.word(8))
+	st.Seed = d.word(8)
+	st.CheckpointEvery = d.word(8)
+	st.NextCheckpoint = d.word(8)
+	st.Steps = d.word(8)
+	st.Now = d.word(8)
+	st.ObsDigest = d.word(8)
+	for i := range st.Digests {
+		st.Digests[i] = d.word(8)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.off != len(d.buf) {
+		return nil, fmt.Errorf("snapshot: %d trailing bytes after the receipt at offset %d", len(d.buf)-d.off, d.off)
 	}
 	return st, nil
 }
@@ -342,367 +392,338 @@ func LoadFile(path string) (*State, error) {
 	return st, nil
 }
 
-// Equal reports whether a and b are the same state (canonical
-// encodings are byte-equal; floats compare as bits).
-func Equal(a, b *State) bool {
-	ca, cb := a.encode(), b.encode()
-	defer ca.release()
-	defer cb.release()
-	return bytes.Equal(ca.buf, cb.buf)
+// Equal reports whether a and b are the same state: Diff finds
+// nothing between them.
+func Equal(a, b *State) bool { return Diff(a, b) == nil }
+
+// Diff returns nil when the receipts agree, or an error naming the
+// first divergence: a config key as by SameConfig, a scalar field by
+// name with both values ("snapshot: Now = 250001, live 250002"), or a
+// state section by name with both digests ("snapshot: section
+// threads = 0x…, live 0x…"). It is the message behind
+// resume-verification failures.
+func Diff(stored, live *State) error {
+	if err := cmp.Or(
+		SameConfig(stored.Config, live.Config),
+		differ("Policy", stored.Policy, live.Policy),
+		differ("NCPU", stored.NCPU, live.NCPU),
+		differ("CacheLines", stored.CacheLines, live.CacheLines),
+		differ("Seed", stored.Seed, live.Seed),
+		differ("CheckpointEvery", stored.CheckpointEvery, live.CheckpointEvery),
+		differ("NextCheckpoint", stored.NextCheckpoint, live.NextCheckpoint),
+		differ("Steps", stored.Steps, live.Steps),
+		differ("Now", stored.Now, live.Now),
+		differ("ObsDigest", stored.ObsDigest, live.ObsDigest),
+	); err != nil {
+		return err
+	}
+	for sec, d := range stored.Digests {
+		if l := live.Digests[sec]; d != l {
+			return fmt.Errorf("snapshot: section %s = 0x%016x, live 0x%016x", Section(sec), d, l)
+		}
+	}
+	return nil
 }
 
-// Diff returns nil when the states are equal, or an error naming the
-// first divergent field by its full path with both values, e.g.
-// "snapshot: Threads[1].Cycles = 5000, live 5001". A slice of another
-// length reports len(path); a float reports its value and bits. It is
-// the message behind resume-verification failures.
-func Diff(stored, live *State) error {
-	if Equal(stored, live) {
+func differ[T comparable](name string, stored, live T) error {
+	if stored == live {
 		return nil
 	}
-	a, b := &codec{logging: true}, &codec{logging: true}
-	stored.walk(a)
-	live.walk(b)
-	i := 0
-	for i < len(a.buf) && i < len(b.buf) && a.buf[i] == b.buf[i] {
-		i++
-	}
-	// Equal bytes before i mean the walks visited the same fields up to
-	// there, so byte i lies in both payloads (neither canonical encoding
-	// can be a prefix of the other) and in the same-numbered mark.
-	j := sort.Search(len(a.marks), func(j int) bool { return a.marks[j].end > i })
-	return fmt.Errorf("snapshot: %s = %s, live %s", a.marks[j].path, a.marks[j].value, b.marks[j].value)
+	return fmt.Errorf("snapshot: %s = %v, live %v", name, stored, live)
 }
 
-// ---- the payload layout ----
+// SameConfig compares two config records key by key, each in key
+// order (the inputs are left as they are), and names the first
+// position where they differ: "snapshot: config scale="1", live
+// scale="2"". A missing or repeated key is a difference like any
+// other; a record that runs out shows an empty pair.
+func SameConfig(stored, live []KV) error {
+	a, b := slices.Clone(stored), slices.Clone(live)
+	for _, kvs := range [][]KV{a, b} {
+		slices.SortStableFunc(kvs, func(x, y KV) int { return cmp.Compare(x.K, y.K) })
+	}
+	for i := 0; i < len(a) || i < len(b); i++ {
+		var s, l KV
+		if i < len(a) {
+			s = a[i]
+		}
+		if i < len(b) {
+			l = b[i]
+		}
+		if s != l {
+			return fmt.Errorf("snapshot: config %s=%q, live %s=%q", s.K, s.V, l.K, l.V)
+		}
+	}
+	return nil
+}
+
+// ---- the encoding ----
 //
-// The payload is a flat little-endian stream: fixed-width integers,
-// bools as one 0/1 byte, float64 as IEEE bits, strings and slices
-// with uvarint length prefixes. The walk methods below are the only
-// place the layout is written down: each visits its fields exactly
-// once, in declaration order, and the same walk encodes, decodes and
-// names Diff's first divergence. The encoding is canonical (one State
-// value has exactly one encoding), which is what lets verification
-// compare encoded bytes.
+// Receipts and sections share one little-endian encoding: fixed-width
+// integers, bools as one 0/1 byte, float64 as IEEE bits, strings and
+// slices with uvarint length prefixes. The walk methods below are the
+// only place either layout is written down: each visits its fields
+// exactly once, in declaration order. The encoding is canonical (one
+// value has exactly one encoding), which is what lets a section's
+// CRC64 stand for its contents.
 
-// walk visits every payload field of the state.
-func (s *State) walk(c *codec) {
-	list(c, "Config", &s.Config, (*KV).walk)
-	c.str("Policy", &s.Policy)
-	fixed(c, "NCPU", &s.NCPU)
-	fixed(c, "CacheLines", &s.CacheLines)
-	fixed(c, "Seed", &s.Seed)
-	fixed(c, "CheckpointEvery", &s.CheckpointEvery)
-	fixed(c, "NextCheckpoint", &s.NextCheckpoint)
-	fixed(c, "Steps", &s.Steps)
-	fixed(c, "Now", &s.Now)
-	fixed(c, "NextID", &s.NextID)
-	fixed(c, "Live", &s.Live)
-	fixed(c, "TimerSeq", &s.TimerSeq)
-	fixed(c, "EngineRNG", &s.EngineRNG)
-	list(c, "CPUs", &s.CPUs, (*CPUState).walk)
-	list(c, "Timers", &s.Timers, (*TimerState).walk)
-	list(c, "Threads", &s.Threads, (*ThreadState).walk)
-	old := c.enter("Sched", -1)
-	s.Sched.walk(c)
-	c.path = old
-	list(c, "Graph", &s.Graph, (*GraphEdge).walk)
-	list(c, "Health", &s.Health, (*HealthState).walk)
-	fixed(c, "ModelFLOPs", &s.ModelFLOPs)
-	fixed(c, "ObsDigest", &s.ObsDigest)
-}
-
-func (kv *KV) walk(c *codec) {
-	c.str("K", &kv.K)
-	c.str("V", &kv.V)
-}
-
-func (p *CPUState) walk(c *codec) {
-	fixed(c, "Clock", &p.Clock)
-	fixed(c, "Misses", &p.Misses)
-	fixed(c, "Refs", &p.Refs)
-	fixed(c, "Hits", &p.Hits)
-	fixed(c, "BaseRefs", &p.BaseRefs)
-	fixed(c, "BaseHits", &p.BaseHits)
-	fixed(c, "Idle", &p.Idle)
-	fixed(c, "Dispatches", &p.Dispatches)
-	c.bool("Parked", &p.Parked)
-	fixed(c, "Running", &p.Running)
-}
-
-func (t *TimerState) walk(c *codec) {
-	fixed(c, "WakeAt", &t.WakeAt)
-	fixed(c, "Seq", &t.Seq)
-	fixed(c, "Thread", &t.Thread)
-}
-
-func (t *ThreadState) walk(c *codec) {
-	fixed(c, "ID", &t.ID)
-	c.str("Name", &t.Name)
-	fixed(c, "Status", &t.Status)
-	c.str("BlockedOn", &t.BlockedOn)
-	fixed(c, "CPU", &t.CPU)
-	fixed(c, "Cycles", &t.Cycles)
-	fixed(c, "DispatchClock", &t.DispatchClock)
-	fixed(c, "DispatchCount", &t.DispatchCount)
-	fixed(c, "DispatchMisses", &t.DispatchMisses)
-	fixed(c, "ReadyClock", &t.ReadyClock)
-	fixed(c, "RNG", &t.RNG)
-	list(c, "Joiners", &t.Joiners, walkInt64)
-}
-
-func (s *SchedState) walk(c *codec) {
-	fixed(c, "DispatchCount", &s.DispatchCount)
-	fixed(c, "Escapes", &s.Escapes)
-	for i := range s.Ops {
-		old := c.enter("Ops", i)
-		fixed(c, "", &s.Ops[i])
-		c.path = old
+// walk encodes the receipt. Load reads the same fields in this order.
+func (s *State) walk(e *encoder) {
+	list(e, s.Config, (*KV).walk)
+	e.str(s.Policy)
+	fixed(e, s.NCPU)
+	fixed(e, s.CacheLines)
+	fixed(e, s.Seed)
+	fixed(e, s.CheckpointEvery)
+	fixed(e, s.NextCheckpoint)
+	fixed(e, s.Steps)
+	fixed(e, s.Now)
+	fixed(e, s.ObsDigest)
+	for _, d := range s.Digests {
+		fixed(e, d)
 	}
-	list(c, "Quarantine", &s.Quarantine, walkBool)
-	list(c, "Global", &s.Global, (*GlobalEntry).walk)
-	list(c, "Spawn", &s.Spawn, walkInt64s)
-	list(c, "Heaps", &s.Heaps, walkInt64s)
-	list(c, "Threads", &s.Threads, (*SchedThread).walk)
 }
 
-func (g *GlobalEntry) walk(c *codec) {
-	fixed(c, "Thread", &g.Thread)
-	fixed(c, "Stamp", &g.Stamp)
+// walk encodes the capture section by section, sealing each into its
+// digest.
+func (c *Capture) walk(e *encoder) {
+	fixed(e, c.NextID)
+	fixed(e, c.Live)
+	fixed(e, c.TimerSeq)
+	fixed(e, c.EngineRNG)
+	fixed(e, c.ModelFLOPs)
+	e.seal(SectionEngine)
+	list(e, c.CPUs, (*CPUState).walk)
+	e.seal(SectionCPUs)
+	list(e, c.Timers, (*TimerState).walk)
+	e.seal(SectionTimers)
+	list(e, c.Threads, (*ThreadState).walk)
+	e.seal(SectionThreads)
+	c.Sched.walk(e)
+	e.seal(SectionSched)
+	list(e, c.Graph, (*GraphEdge).walk)
+	e.seal(SectionGraph)
+	list(e, c.Health, (*HealthState).walk)
+	e.seal(SectionHealth)
 }
 
-func (t *SchedThread) walk(c *codec) {
-	fixed(c, "ID", &t.ID)
-	c.bool("Runnable", &t.Runnable)
-	c.bool("Running", &t.Running)
-	c.bool("InGlobal", &t.InGlobal)
-	c.bool("InSpawn", &t.InSpawn)
-	list(c, "Entries", &t.Entries, (*SchedEntry).walk)
+func (kv *KV) walk(e *encoder) {
+	e.str(kv.K)
+	e.str(kv.V)
 }
 
-func (e *SchedEntry) walk(c *codec) {
-	fixed(c, "CPU", &e.CPU)
-	c.f64("S", &e.S)
-	c.f64("SLast", &e.SLast)
-	fixed(c, "M0", &e.M0)
-	c.f64("Prio", &e.Prio)
-	c.f64("DispatchS", &e.DispatchS)
-	fixed(c, "DispatchM", &e.DispatchM)
-	fixed(c, "HeapIdx", &e.HeapIdx)
+func (p *CPUState) walk(e *encoder) {
+	fixed(e, p.Clock)
+	fixed(e, p.Misses)
+	fixed(e, p.Refs)
+	fixed(e, p.Hits)
+	fixed(e, p.BaseRefs)
+	fixed(e, p.BaseHits)
+	fixed(e, p.Idle)
+	fixed(e, p.Dispatches)
+	e.bool(p.Parked)
+	fixed(e, p.Running)
 }
 
-func (g *GraphEdge) walk(c *codec) {
-	fixed(c, "From", &g.From)
-	fixed(c, "To", &g.To)
-	c.f64("Q", &g.Q)
+func (t *TimerState) walk(e *encoder) {
+	fixed(e, t.WakeAt)
+	fixed(e, t.Seq)
+	fixed(e, t.Thread)
 }
 
-func (h *HealthState) walk(c *codec) {
-	fixed(c, "OK", &h.OK)
-	fixed(c, "Suspect", &h.Suspect)
-	fixed(c, "Rejected", &h.Rejected)
-	fixed(c, "Quarantines", &h.Quarantines)
-	fixed(c, "Recoveries", &h.Recoveries)
-	fixed(c, "StreakRejected", &h.StreakRejected)
-	fixed(c, "StreakClean", &h.StreakClean)
-	fixed(c, "Frozen", &h.Frozen)
-	c.bool("Quarantined", &h.Quarantined)
+func (t *ThreadState) walk(e *encoder) {
+	fixed(e, t.ID)
+	e.str(t.Name)
+	fixed(e, t.Status)
+	e.str(t.BlockedOn)
+	fixed(e, t.CPU)
+	fixed(e, t.Cycles)
+	fixed(e, t.DispatchClock)
+	fixed(e, t.DispatchCount)
+	fixed(e, t.DispatchMisses)
+	fixed(e, t.ReadyClock)
+	fixed(e, t.RNG)
+	list(e, t.Joiners, walkInt64)
 }
 
-func walkBool(v *bool, c *codec)      { c.bool("", v) }
-func walkInt64(v *int64, c *codec)    { fixed(c, "", v) }
-func walkInt64s(v *[]int64, c *codec) { list(c, "", v, walkInt64) }
-
-// ---- the codec ----
-
-// codec runs a walk one way. Encoding appends each field to buf and,
-// when logging, marks where it ends with its path and value (Diff's
-// attribution). Decoding fills a zero State from buf with every read
-// bounds-checked; the first error sticks and stops all later reads.
-type codec struct {
-	decode, logging bool
-	buf             []byte
-	off             int // decode read offset
-	err             error
-	path            string // logging: the enclosing field's path
-	marks           []mark
+func (s *SchedState) walk(e *encoder) {
+	fixed(e, s.DispatchCount)
+	fixed(e, s.Escapes)
+	for _, op := range s.Ops {
+		fixed(e, op)
+	}
+	list(e, s.Quarantine, walkBool)
+	list(e, s.Global, (*GlobalEntry).walk)
+	list(e, s.Spawn, walkInt64s)
+	list(e, s.Heaps, walkInt64s)
+	list(e, s.Threads, (*SchedThread).walk)
 }
 
-type mark struct {
-	end         int // payload offset just past the field
-	path, value string
+func (g *GlobalEntry) walk(e *encoder) {
+	fixed(e, g.Thread)
+	fixed(e, g.Stamp)
 }
 
-// codecs recycles codecs and their buffers: the walk hands its codec to
-// element walkers through func values, so a codec always lives on the
-// heap, and Save, Load, Equal and Fingerprint run on every checkpoint.
-var codecs = sync.Pool{New: func() any { return new(codec) }}
-
-func newCodec(decode bool) *codec {
-	c := codecs.Get().(*codec)
-	*c = codec{decode: decode, buf: c.buf[:0]}
-	return c
+func (t *SchedThread) walk(e *encoder) {
+	fixed(e, t.ID)
+	e.bool(t.Runnable)
+	e.bool(t.Running)
+	e.bool(t.InGlobal)
+	e.bool(t.InSpawn)
+	list(e, t.Entries, (*SchedEntry).walk)
 }
 
-// release recycles c, whose buf is dead from here on; buffers over
+func (s *SchedEntry) walk(e *encoder) {
+	fixed(e, s.CPU)
+	e.f64(s.S)
+	e.f64(s.SLast)
+	fixed(e, s.M0)
+	e.f64(s.Prio)
+	e.f64(s.DispatchS)
+	fixed(e, s.DispatchM)
+	fixed(e, s.HeapIdx)
+}
+
+func (g *GraphEdge) walk(e *encoder) {
+	fixed(e, g.From)
+	fixed(e, g.To)
+	e.f64(g.Q)
+}
+
+func (h *HealthState) walk(e *encoder) {
+	fixed(e, h.OK)
+	fixed(e, h.Suspect)
+	fixed(e, h.Rejected)
+	fixed(e, h.Quarantines)
+	fixed(e, h.Recoveries)
+	fixed(e, h.StreakRejected)
+	fixed(e, h.StreakClean)
+	fixed(e, h.Frozen)
+	e.bool(h.Quarantined)
+}
+
+func walkBool(v *bool, e *encoder)      { e.bool(*v) }
+func walkInt64(v *int64, e *encoder)    { fixed(e, *v) }
+func walkInt64s(v *[]int64, e *encoder) { list(e, *v, walkInt64) }
+
+// encoder appends a walk's fields to buf; seal turns what has
+// accumulated into a section digest.
+type encoder struct {
+	buf  []byte
+	sums [NumSections]uint64
+}
+
+// encoders recycles encoders and their buffers: the walk hands its
+// encoder to element walkers through func values, so an encoder always
+// lives on the heap, and every checkpoint seals a capture.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+func newEncoder() *encoder {
+	e := encoders.Get().(*encoder)
+	*e = encoder{buf: e.buf[:0]}
+	return e
+}
+
+// release recycles e, whose buf is dead from here on; buffers over
 // 1 MiB are left to the collector.
-func (c *codec) release() {
-	if cap(c.buf) <= 1<<20 {
-		codecs.Put(c)
+func (e *encoder) release() {
+	if cap(e.buf) <= 1<<20 {
+		encoders.Put(e)
 	}
 }
 
-func (s *State) encode() *codec {
-	c := newCodec(false)
-	s.walk(c)
-	return c
+func (s *State) encode() *encoder {
+	e := newEncoder()
+	s.walk(e)
+	return e
 }
 
-// list codes a slice: its uvarint count, then each element by elem.
-// Decoding bounds the count by the bytes left (every element takes at
-// least one) and appends one element at a time until the first error,
-// so allocation stays bounded by the payload actually present; an
-// empty slice decodes as nil.
-func list[T any](c *codec, name string, s *[]T, elem func(*T, *codec)) {
-	n := len(*s)
-	if c.decode {
-		n = c.count()
-	} else if c.buf = binary.AppendUvarint(c.buf, uint64(n)); c.logging {
-		c.marks = append(c.marks, mark{len(c.buf), "len(" + join(c.path, name) + ")", strconv.Itoa(n)})
-	}
-	for i := 0; i < n && c.err == nil; i++ {
-		if c.decode {
-			var zero T
-			*s = append(*s, zero)
-		}
-		old := c.enter(name, i)
-		elem(&(*s)[i], c)
-		c.path = old
+// seal records the CRC64 of the bytes since the previous seal as
+// section sec's digest.
+func (e *encoder) seal(sec Section) {
+	e.sums[sec] = crc64.Checksum(e.buf, crcTable)
+	e.buf = e.buf[:0]
+}
+
+// list encodes a slice: its uvarint count, then each element by elem.
+func list[T any](e *encoder, s []T, elem func(*T, *encoder)) {
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
+	for i := range s {
+		elem(&s[i], e)
 	}
 }
 
-// enter descends into field name — element i of it when i >= 0 — and
-// returns the path to restore on the way out. Paths are built only
-// when logging.
-func (c *codec) enter(name string, i int) string {
-	old := c.path
-	if c.logging {
-		c.path = join(old, name)
-		if i >= 0 {
-			c.path += "[" + strconv.Itoa(i) + "]"
-		}
-	}
-	return old
-}
-
-func join(path, name string) string {
-	if path == "" || name == "" {
-		return path + name
-	}
-	return path + "." + name
-}
-
-// note marks the field just encoded; call it only when logging.
-func (c *codec) note(name, value string) {
-	c.marks = append(c.marks, mark{len(c.buf), join(c.path, name), value})
-}
-
-func (c *codec) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("snapshot: "+format+" (payload offset %d)", append(args, c.off)...)
-	}
-}
-
-// word codes the low size bytes (1, 4 or 8) of w little-endian and
-// returns the value decoded (w itself when encoding, 0 after an error).
-func (c *codec) word(size int, w uint64) uint64 {
-	if !c.decode {
-		switch size {
-		case 1:
-			c.buf = append(c.buf, byte(w))
-		case 4:
-			c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(w))
-		default:
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, w)
-		}
-		return w
-	}
-	if c.err != nil || len(c.buf)-c.off < size {
-		c.fail("need %d bytes, %d remain", size, len(c.buf)-c.off)
-		return 0
-	}
-	b := c.buf[c.off:]
-	c.off += size
-	switch size {
+// fixed encodes an integer as its width in little-endian bytes; signed
+// values travel as two's complement.
+func fixed[T uint8 | int32 | uint32 | int64 | uint64](e *encoder, v T) {
+	switch unsafe.Sizeof(v) {
 	case 1:
-		return uint64(b[0])
+		e.buf = append(e.buf, byte(v))
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// fixed codes an integer field as its width in little-endian bytes;
-// signed values travel as two's complement.
-func fixed[T uint8 | int32 | uint32 | int64 | uint64](c *codec, name string, v *T) {
-	if w := c.word(int(unsafe.Sizeof(*v)), uint64(*v)); c.decode {
-		*v = T(w)
-	} else if c.logging {
-		c.note(name, fmt.Sprint(*v))
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+	default:
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
 	}
 }
 
-func (c *codec) f64(name string, v *float64) {
-	if w := c.word(8, math.Float64bits(*v)); c.decode {
-		*v = math.Float64frombits(w)
-	} else if c.logging {
-		c.note(name, fmt.Sprintf("%v (bits %#016x)", *v, w))
-	}
-}
+func (e *encoder) f64(v float64) { fixed(e, math.Float64bits(v)) }
 
-// bool codes a bool as one 0/1 byte; decoding rejects any other byte.
-func (c *codec) bool(name string, v *bool) {
+func (e *encoder) bool(v bool) {
 	var b uint8
-	if *v {
+	if v {
 		b = 1
 	}
-	if fixed(c, name, &b); c.decode && b > 1 {
-		c.fail("bool byte %d", b)
-	} else if c.decode {
-		*v = b == 1
-	}
+	fixed(e, b)
 }
 
-// count decodes a slice or string length, rejecting one above the
-// bytes left: no valid payload holds an element in less than a byte.
-func (c *codec) count() int {
-	v, k := binary.Uvarint(c.buf[c.off:])
-	if c.err != nil || k <= 0 {
-		c.fail("bad varint count")
+func (e *encoder) str(v string) {
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
+	e.buf = append(e.buf, v...)
+}
+
+// decoder reads a receipt payload with every read bounds-checked; the
+// first error sticks and turns later reads into zeros.
+type decoder struct {
+	buf []byte
+	off int
+	err error
+}
+
+// take consumes the next n bytes, or returns nil once a read failed.
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && n > len(d.buf)-d.off {
+		d.err = fmt.Errorf("snapshot: need %d bytes at payload offset %d, %d remain", n, d.off, len(d.buf)-d.off)
+	}
+	if d.err != nil {
+		return nil
+	}
+	d.off += n
+	return d.buf[d.off-n : d.off]
+}
+
+// word reads a 4- or 8-byte little-endian integer.
+func (d *decoder) word(size int) uint64 {
+	switch b := d.take(size); len(b) {
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// count reads a config count or string length, rejecting one above
+// the bytes left: no receipt holds an element in less than a byte.
+func (d *decoder) count() int {
+	v, k := binary.Uvarint(d.buf[d.off:])
+	if d.err == nil && (k <= 0 || v > uint64(len(d.buf)-d.off-k)) {
+		d.err = fmt.Errorf("snapshot: bad count at payload offset %d (%d bytes remain)", d.off, len(d.buf)-d.off)
+	}
+	if d.err != nil {
 		return 0
 	}
-	c.off += k
-	if remain := len(c.buf) - c.off; v > uint64(remain) {
-		c.fail("count %d exceeds remaining payload (%d bytes)", v, remain)
-		return 0
-	}
+	d.off += k
 	return int(v)
 }
 
-func (c *codec) str(name string, v *string) {
-	if !c.decode {
-		c.buf = binary.AppendUvarint(c.buf, uint64(len(*v)))
-		c.buf = append(c.buf, *v...)
-		if c.logging {
-			c.note(name, strconv.Quote(*v))
-		}
-		return
-	}
-	switch n := c.count(); {
-	case n > maxStringLen:
-		c.fail("string length %d exceeds %d", n, maxStringLen)
-	case n > 0:
-		*v = string(c.buf[c.off : c.off+n])
-		c.off += n
-	}
-}
+func (d *decoder) str() string { return string(d.take(d.count())) }

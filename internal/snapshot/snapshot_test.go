@@ -8,22 +8,22 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// sampleState builds a fully-populated State exercising every section
-// of the format, including float bit patterns that a sloppy codec
-// would normalize away (negative zero, subnormals).
-func sampleState() *State {
-	return &State{
-		Config: []KV{{"app", "fig8"}, {"cpus", "4"}, {"policy", "affinity"}},
-		Policy: "affinity", NCPU: 4, CacheLines: 8192, Seed: 42,
-		CheckpointEvery: 100000, NextCheckpoint: 300000,
-		Steps: 1234, Now: 250001, NextID: 9, Live: 5, TimerSeq: 3,
-		EngineRNG: 0xdeadbeefcafef00d,
+// sampleCapture builds a fully-populated Capture exercising every
+// section, including float bit patterns that a sloppy encoding would
+// normalize away (negative zero, subnormals).
+func sampleCapture() *Capture {
+	return &Capture{
+		NextID: 9, Live: 5, TimerSeq: 3,
+		EngineRNG:  0xdeadbeefcafef00d,
+		ModelFLOPs: 123456,
 		CPUs: []CPUState{
 			{Clock: 250001, Misses: 777, Refs: 4000000000, Hits: 12, BaseRefs: 3999999999, BaseHits: 7, Idle: 5, Dispatches: 40, Parked: false, Running: 3},
 			{Clock: 249000, Misses: 12, Refs: 1, Hits: 1, Idle: 9000, Dispatches: 2, Parked: true, Running: -1},
@@ -52,9 +52,26 @@ func sampleState() *State {
 			{OK: 40, Suspect: 2, Rejected: 1, Quarantines: 1, Recoveries: 0, StreakRejected: 0, StreakClean: 3, Frozen: 1, Quarantined: true},
 			{OK: 44},
 		},
-		ModelFLOPs: 123456,
-		ObsDigest:  0x1122334455667788,
 	}
+}
+
+// sampleReceipt is the unsealed receipt half of the sample: identity,
+// schedule, cursor and obs digest.
+func sampleReceipt() *State {
+	return &State{
+		Config: []KV{{"app", "fig8"}, {"cpus", "4"}, {"policy", "affinity"}},
+		Policy: "affinity", NCPU: 4, CacheLines: 8192, Seed: 42,
+		CheckpointEvery: 100000, NextCheckpoint: 300000,
+		Steps: 1234, Now: 250001,
+		ObsDigest: 0x1122334455667788,
+	}
+}
+
+// sampleState is sampleReceipt sealed from sampleCapture.
+func sampleState() *State {
+	s := sampleReceipt()
+	s.Seal(sampleCapture())
+	return s
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -67,8 +84,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if !Equal(want, got) {
-		t.Fatalf("round trip diverged: %v", Diff(want, got))
+	if !Equal(want, got) || !reflect.DeepEqual(want, got) {
+		t.Fatalf("round trip diverged: %v\nsaved:  %+v\nloaded: %+v", Diff(want, got), want, got)
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("fingerprints differ after round trip")
@@ -94,20 +111,22 @@ func TestFingerprintSensitive(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("identical states have different fingerprints")
 	}
-	b.Sched.Threads[0].Entries[0].S += 1e-9
+	c := sampleCapture()
+	c.Sched.Threads[0].Entries[0].S += 1e-9
+	b.Seal(c)
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Fatalf("fingerprint ignored an S perturbation")
 	}
 }
 
-// bigState is sampleState grown by n threads, each with a scheduler
-// entry per CPU, a joiner and a graph edge — the shape a long-running
-// session checkpoints.
-func bigState(n int) *State {
-	s := sampleState()
+// bigCapture is sampleCapture grown by n threads, each with a
+// scheduler entry per CPU, a joiner and a graph edge — the shape a
+// long-running session checkpoints.
+func bigCapture(n int) *Capture {
+	c := sampleCapture()
 	for i := 0; i < n; i++ {
 		id := int64(100 + i)
-		s.Threads = append(s.Threads, ThreadState{
+		c.Threads = append(c.Threads, ThreadState{
 			ID: id, Name: fmt.Sprintf("worker-%d", i), Status: uint8(i % 4), CPU: int32(i % 4),
 			Cycles: uint64(i) * 1000, DispatchCount: uint64(i), RNG: uint64(i) * 0x9e3779b97f4a7c15,
 			Joiners: []int64{id - 1},
@@ -116,25 +135,34 @@ func bigState(n int) *State {
 		for cpu := int32(0); cpu < 4; cpu++ {
 			st.Entries = append(st.Entries, SchedEntry{CPU: cpu, S: float64(i) / 3, SLast: float64(cpu), M0: uint64(i), Prio: 0.5, HeapIdx: -1})
 		}
-		s.Sched.Threads = append(s.Sched.Threads, st)
-		s.Graph = append(s.Graph, GraphEdge{From: id, To: id - 1, Q: 1 / float64(i+1)})
+		c.Sched.Threads = append(c.Sched.Threads, st)
+		c.Graph = append(c.Graph, GraphEdge{From: id, To: id - 1, Q: 1 / float64(i+1)})
 	}
-	return s
+	return c
 }
 
-// TestPayloadLayoutPinned pins the wire format: the fingerprint and
-// container size of a fully-populated and an empty state. Any change
+// TestPayloadLayoutPinned pins the Version 2 format: the section
+// digests of the sample capture, and the fingerprint and container
+// size of the sealed sample receipt and of the zero receipt. Any change
 // to a walk method's field order or encoding moves these, and must
 // come with a Version bump.
 func TestPayloadLayoutPinned(t *testing.T) {
+	s := sampleState()
+	wantDigests := [NumSections]uint64{
+		0xc6cfec218e4b0be7, 0x1d0fa8ebc940bfdf, 0xf67b298db99ebf85, 0xf7e4592130902347,
+		0xc738a488c1f397d1, 0x3fdfde373352229b, 0x7fdc0ba940f0c1bb,
+	}
+	if s.Digests != wantDigests {
+		t.Errorf("sample digests %#x; want %#x", s.Digests, wantDigests)
+	}
 	for _, tc := range []struct {
 		name  string
 		s     *State
 		fp    uint64
 		bytes int
 	}{
-		{"sample", sampleState(), 0xe33ee1dce82641b6, 907},
-		{"empty", &State{}, 0x97b6fe77e6b3fffd, 216},
+		{"sample", s, 0x6d04bdea651ed683, 186},
+		{"empty", &State{}, 0xb7f589011c0b0438, 146},
 	} {
 		var buf bytes.Buffer
 		if err := tc.s.Save(&buf); err != nil {
@@ -146,9 +174,17 @@ func TestPayloadLayoutPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkCodec times Save and Load of a 130-thread state.
+// BenchmarkCodec times sealing a 130-thread capture, then Save and
+// Load of the receipt.
 func BenchmarkCodec(b *testing.B) {
-	s := bigState(128)
+	c := bigCapture(128)
+	s := sampleReceipt()
+	b.Run("Seal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Seal(c)
+		}
+	})
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		b.Fatal(err)
@@ -282,60 +318,153 @@ func crcOf(p []byte) uint64 {
 	return crc64.Checksum(p, crc64.MakeTable(crc64.ECMA))
 }
 
-// TestDiffNamesFirstDivergence checks that Diff names the exact leaf
-// path of the first divergent field, with both values.
+// TestDiffNamesFirstDivergence checks that Diff names the divergent
+// receipt field with both values, or the divergent state section with
+// both digests; a mutation inside a section moves that section's
+// digest and no other.
 func TestDiffNamesFirstDivergence(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*State)
+		mutate func(*State, *Capture)
 		want   string
 	}{
-		{"config", func(s *State) { s.Config[1].V = "8" }, `Config[1].V = "4", live "8"`},
-		{"seed", func(s *State) { s.Seed++ }, "Seed = 42, live 43"},
-		{"clock", func(s *State) { s.Now++ }, "Now = 250001, live 250002"},
-		{"cpu", func(s *State) { s.CPUs[1].Misses++ }, "CPUs[1].Misses = 12, live 13"},
-		{"thread", func(s *State) { s.Threads[1].Cycles++ }, "Threads[1].Cycles = 5000, live 5001"},
-		{"joiner", func(s *State) { s.Threads[1].Joiners[0] = 2 }, "Threads[1].Joiners[0] = 1, live 2"},
-		{"sched entry", func(s *State) { s.Sched.Threads[0].Entries[0].S = 13 },
-			"Sched.Threads[0].Entries[0].S = 12.5 (bits 0x4029000000000000), live 13 (bits 0x402a000000000000)"},
-		{"heap", func(s *State) { s.Sched.Heaps[0][0] = 7 }, "Sched.Heaps[0][0] = 3, live 7"},
-		{"graph", func(s *State) { s.Graph[0].Q = 0.75 },
-			"Graph[0].Q = 0.5 (bits 0x3fe0000000000000), live 0.75 (bits 0x3fe8000000000000)"},
-		{"health", func(s *State) { s.Health[0].Rejected++ }, "Health[0].Rejected = 1, live 2"},
-		{"obs", func(s *State) { s.ObsDigest++ }, "ObsDigest = 1234605616436508552, live 1234605616436508553"},
-		{"negzero", func(s *State) { s.Sched.Threads[0].Entries[0].SLast = 0 },
-			"Sched.Threads[0].Entries[0].SLast = -0 (bits 0x8000000000000000), live 0 (bits 0x0000000000000000)"},
-		{"extra thread", func(s *State) { s.Threads = append(s.Threads, ThreadState{ID: 9}) }, "len(Threads) = 2, live 3"},
+		{"config", func(s *State, _ *Capture) { s.Config[1].V = "8" }, `config cpus="4", live cpus="8"`},
+		{"seed", func(s *State, _ *Capture) { s.Seed++ }, "Seed = 42, live 43"},
+		{"clock", func(s *State, _ *Capture) { s.Now++ }, "Now = 250001, live 250002"},
+		{"cpu", func(_ *State, c *Capture) { c.CPUs[1].Misses++ }, "section cpus"},
+		{"thread", func(_ *State, c *Capture) { c.Threads[1].Cycles++ }, "section threads"},
+		{"joiner", func(_ *State, c *Capture) { c.Threads[1].Joiners[0] = 2 }, "section threads"},
+		{"sched entry", func(_ *State, c *Capture) { c.Sched.Threads[0].Entries[0].S = 13 }, "section sched"},
+		{"heap", func(_ *State, c *Capture) { c.Sched.Heaps[0][0] = 7 }, "section sched"},
+		{"graph", func(_ *State, c *Capture) { c.Graph[0].Q = 0.75 }, "section graph"},
+		{"health", func(_ *State, c *Capture) { c.Health[0].Rejected++ }, "section health"},
+		{"obs", func(s *State, _ *Capture) { s.ObsDigest++ }, "ObsDigest = 1234605616436508552, live 1234605616436508553"},
+		{"negzero", func(_ *State, c *Capture) { c.Sched.Threads[0].Entries[0].SLast = 0 }, "section sched"},
+		{"extra thread", func(_ *State, c *Capture) { c.Threads = append(c.Threads, ThreadState{ID: 9}) }, "section threads"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := sampleState(), sampleState()
-			if err := Diff(a, b); err != nil {
-				t.Fatalf("equal states diffed: %v", err)
-			}
-			tc.mutate(b)
+			a := sampleState()
+			b, c := sampleReceipt(), sampleCapture()
+			tc.mutate(b, c)
+			b.Seal(c)
 			err := Diff(a, b)
 			if err == nil {
 				t.Fatalf("mutation not detected")
 			}
-			if want := "snapshot: " + tc.want; err.Error() != want {
+			want := "snapshot: " + tc.want
+			if name, ok := strings.CutPrefix(tc.want, "section "); ok {
+				var moved []Section
+				for sec := range a.Digests {
+					if a.Digests[sec] != b.Digests[sec] {
+						moved = append(moved, Section(sec))
+					}
+				}
+				if len(moved) != 1 || moved[0].String() != name {
+					t.Fatalf("sections %v moved, want only %s", moved, name)
+				}
+				want = fmt.Sprintf("%s = 0x%016x, live 0x%016x", want, a.Digests[moved[0]], b.Digests[moved[0]])
+			}
+			if err.Error() != want {
 				t.Fatalf("diff %q, want %q", err, want)
 			}
 		})
 	}
 }
 
-// TestCodecConcurrent runs the recycled codecs from several goroutines
-// at once: each must see only its own state's bytes.
+// TestEveryFieldCounts changes each receipt field (each digest on its
+// own) and checks that Diff, Fingerprint and a Save/Load round trip
+// all see the change: walk, Load and Diff list the same fields.
+func TestEveryFieldCounts(t *testing.T) {
+	base := sampleState()
+	typ := reflect.TypeOf(*base)
+	for i := 0; i < typ.NumField(); i++ {
+		n := 1
+		if typ.Field(i).Type.Kind() == reflect.Array {
+			n = typ.Field(i).Type.Len()
+		}
+		for j := 0; j < n; j++ {
+			live := sampleState()
+			f := reflect.ValueOf(live).Elem().Field(i)
+			switch f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Int32, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Array:
+				f.Index(j).SetUint(f.Index(j).Uint() ^ 1)
+			case reflect.Slice:
+				f.Set(reflect.Append(f, reflect.ValueOf(KV{"zz", "1"})))
+			default:
+				t.Fatalf("field %s: kind %s not covered by this test", typ.Field(i).Name, f.Kind())
+			}
+			name := typ.Field(i).Name
+			if err := Diff(base, live); err == nil {
+				t.Errorf("%s[%d]: Diff missed the change", name, j)
+			}
+			if base.Fingerprint() == live.Fingerprint() {
+				t.Errorf("%s[%d]: Fingerprint missed the change", name, j)
+			}
+			var buf bytes.Buffer
+			if err := live.Save(&buf); err != nil {
+				t.Fatalf("%s: Save: %v", name, err)
+			}
+			if got, err := Load(&buf); err != nil || !reflect.DeepEqual(got, live) {
+				t.Errorf("%s[%d]: round trip = %+v, %v; want %+v", name, j, got, err, live)
+			}
+		}
+	}
+}
+
+// TestSameConfig pins the one config-record comparison resume and
+// migration share: order-insensitive, inputs untouched, and a record
+// that repeats a key where it should hold another is rejected even
+// though its length matches.
+func TestSameConfig(t *testing.T) {
+	want := []KV{{"app", "tsp"}, {"scale", "0.1"}, {"noannot", "false"}, {"topology", "private-dm"}, {"panicat", "0"}}
+	orig := append([]KV(nil), want...)
+	rev := append([]KV(nil), want...)
+	slices.Reverse(rev)
+	if err := SameConfig(rev, want); err != nil {
+		t.Errorf("reordered record: %v", err)
+	}
+	if !slices.Equal(want, orig) {
+		t.Errorf("SameConfig reordered its input: %v", want)
+	}
+	for _, tc := range []struct {
+		name string
+		got  []KV
+		msg  string
+	}{
+		{"repeated key", []KV{{"app", "tsp"}, {"app", "tsp"}, {"noannot", "false"}, {"topology", "private-dm"}, {"panicat", "0"}},
+			`snapshot: config app="tsp", live noannot="false"`},
+		{"value", []KV{{"app", "tsp"}, {"scale", "0.2"}, {"noannot", "false"}, {"topology", "private-dm"}, {"panicat", "0"}},
+			`snapshot: config scale="0.2", live scale="0.1"`},
+		{"missing key", want[:4], `snapshot: config scale="0.1", live panicat="0"`},
+	} {
+		if err := SameConfig(tc.got, want); err == nil || err.Error() != tc.msg {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.msg)
+		}
+	}
+}
+
+// TestCodecConcurrent runs the recycled encoders from several
+// goroutines at once: each must see only its own state's bytes.
 func TestCodecConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := bigState(8 * g)
+			c := bigCapture(8 * g)
+			s := sampleReceipt()
+			s.Seal(c)
 			want := s.Fingerprint()
 			for i := 0; i < 50; i++ {
+				s := sampleReceipt()
+				s.Seal(c)
 				var buf bytes.Buffer
 				if err := s.Save(&buf); err != nil {
 					t.Errorf("Save: %v", err)

@@ -1,16 +1,26 @@
 #!/bin/sh
-# Run the table/figure benchmarks and record ns/op as JSON.
+# Run the table/figure benchmarks and the per-layer benchmarks, and
+# record ns/op, B/op and allocs/op as JSON.
 #
 # Usage: scripts/bench.sh [-cpuprofile FILE] [-memprofile FILE]
 #                         [-ncpu "8 64 ..."] [extra go-test args...]
 #
 # Writes BENCH_<yyyy-mm-dd>.json at the repo root: a flat object mapping
-# benchmark name (trailing -N GOMAXPROCS suffix stripped) to ns/op. Runs
-# each benchmark -count=3 and keeps the median so a single noisy run on
-# a shared host cannot skew the committed numbers.
+# benchmark name (trailing -N GOMAXPROCS suffix stripped) to ns/op, with
+# "name/bytes" (B/op) and "name/allocs" (allocs/op) keys next to it.
+# Runs each benchmark -count=3 with -benchmem and keeps the median of
+# each figure so a single noisy run on a shared host cannot skew the
+# committed numbers.
 #
-# -cpuprofile/-memprofile pass straight through to go test; inspect the
-# result with
+# Besides the root package's table, figure, observability, checkpoint
+# and context-switch benchmarks, the sweep covers the layer benchmarks
+# of other packages: internal/machine's BenchmarkApplySweep* (the cache
+# sweep) and internal/snapshot's BenchmarkCodec (checkpoint sealing and
+# the receipt codec). Extra go-test args apply to every package.
+#
+# -cpuprofile/-memprofile pass straight through to go test for the root
+# package (go test profiles one package per run); inspect the result
+# with
 #
 #	go tool pprof -top FILE            # hot functions
 #	go tool pprof -list SweepDM FILE   # line-level cost of one function
@@ -35,29 +45,40 @@ while [ $# -gt 0 ]; do
 	esac
 done
 
-[ -n "$memprofile" ] && set -- -memprofile "$memprofile" "$@"
-[ -n "$cpuprofile" ] && set -- -cpuprofile "$cpuprofile" "$@"
-
 out="BENCH_$(date +%F).json"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
+go test -run '^$' -bench 'BenchmarkApplySweep|BenchmarkCodec' \
+	-benchmem -count=3 "$@" ./internal/machine ./internal/snapshot | tee "$raw"
+
+[ -n "$memprofile" ] && set -- -memprofile "$memprofile" "$@"
+[ -n "$cpuprofile" ] && set -- -cpuprofile "$cpuprofile" "$@"
+
 BENCH_NCPU="$ncpu" go test -run '^$' \
-	-bench 'BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkObs|BenchmarkCheckpoint' \
-	-count=3 "$@" . | tee "$raw"
+	-bench 'BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkObs|BenchmarkCheckpoint|BenchmarkContextSwitch' \
+	-benchmem -count=3 "$@" . | tee -a "$raw"
 
 awk '
+# add records one sample v of key k.
+function add(k, v) {
+	if (!(k in idx)) { idx[k] = ++n; keys[n] = k }
+	vals[k] = vals[k] " " v
+}
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
-	if (!(name in idx)) { idx[name] = ++n; names[n] = name }
-	vals[name] = vals[name] " " $3
+	for (i = 3; i < NF; i++) {
+		if ($(i+1) == "ns/op") add(name, $i)
+		else if ($(i+1) == "B/op") add(name "/bytes", $i)
+		else if ($(i+1) == "allocs/op") add(name "/allocs", $i)
+	}
 }
 END {
 	printf "{\n"
 	for (i = 1; i <= n; i++) {
-		name = names[i]
-		cnt = split(vals[name], v, " ")
+		k = keys[i]
+		cnt = split(vals[k], v, " ")
 		# insertion-sort the handful of samples, take the median
 		for (a = 2; a <= cnt; a++) {
 			x = v[a]
@@ -65,7 +86,7 @@ END {
 			v[b+1] = x
 		}
 		med = v[int((cnt + 1) / 2)]
-		printf "  \"%s\": %d%s\n", name, med, (i < n ? "," : "")
+		printf "  \"%s\": %d%s\n", k, med, (i < n ? "," : "")
 	}
 	printf "}\n"
 }' "$raw" > "$out"

@@ -3,11 +3,14 @@
 #
 # Usage: scripts/benchdiff.sh OLD.json NEW.json [threshold-pct]
 #
-# Prints a per-benchmark delta table over the benchmarks both files
-# contain and exits 1 if any of them regressed by more than the
+# Prints a per-key delta table over the keys both files contain (ns/op
+# under the benchmark's name, B/op and allocs/op under name/bytes and
+# name/allocs) and exits 1 if any of them regressed by more than the
 # threshold (default 2%, the telemetry layer's disabled-path overhead
-# budget). Benchmarks present in only one file are listed but never
-# fail the gate, so adding or retiring benchmarks does not break it.
+# budget). An old value of 0 that is no longer 0 counts as a
+# regression of any size. Keys present in only one file are listed but
+# never fail the gate, so adding or retiring benchmarks does not break
+# it.
 set -e
 
 [ $# -ge 2 ] || { echo "usage: $0 OLD.json NEW.json [threshold-pct]" >&2; exit 2; }
@@ -16,7 +19,7 @@ new=$2
 threshold=${3:-2}
 
 awk -v threshold="$threshold" -v oldname="$old" -v newname="$new" '
-# Both inputs are the flat {"name": ns, ...} objects bench.sh writes.
+# Both inputs are the flat {"key": value, ...} objects bench.sh writes.
 /^[[:space:]]*"/ {
 	line = $0
 	gsub(/[",:]/, " ", line)
@@ -26,13 +29,19 @@ awk -v threshold="$threshold" -v oldname="$old" -v newname="$new" '
 }
 END {
 	fails = 0
-	printf "%-40s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta"
+	printf "%-40s %14s %14s %8s\n", "benchmark", "old", "new", "delta"
 	for (name in newv) {
 		if (!(name in oldv)) { printf "%-40s %14s %14d %8s\n", name, "-", newv[name], "new"; continue }
-		pct = 100 * (newv[name] - oldv[name]) / oldv[name]
 		mark = ""
-		if (pct > threshold) { mark = "  REGRESSED"; fails++ }
-		printf "%-40s %14d %14d %+7.1f%%%s\n", name, oldv[name], newv[name], pct, mark
+		if (oldv[name] == 0) {
+			delta = (newv[name] == 0 ? "+0.0%" : "+inf")
+			if (newv[name] > 0) { mark = "  REGRESSED"; fails++ }
+		} else {
+			pct = 100 * (newv[name] - oldv[name]) / oldv[name]
+			delta = sprintf("%+7.1f%%", pct)
+			if (pct > threshold) { mark = "  REGRESSED"; fails++ }
+		}
+		printf "%-40s %14d %14d %8s%s\n", name, oldv[name], newv[name], delta, mark
 	}
 	for (name in oldv)
 		if (!(name in newv)) printf "%-40s %14d %14s %8s\n", name, oldv[name], "-", "gone"

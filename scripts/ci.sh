@@ -54,10 +54,15 @@ go test -run 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEndsAtDelete
 go test -run 'TestSharedDegenerates' ./internal/machine
 go test -run 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS' ./internal/experiments
 
-# Snapshot format gates: the payload bytes stay pinned, Diff names the
-# exact leaf path of a divergence, and a hostile or corrupt container
-# fails with a bounded allocation.
-go test -run 'TestPayloadLayoutPinned|TestDiffNamesFirstDivergence|TestLoadRejectsCorruption' ./internal/snapshot
+# Snapshot format gates: the receipt bytes and section digests stay
+# pinned, Diff names the divergent field or section and misses no
+# receipt field, a hostile or corrupt container fails with a bounded
+# allocation, resume verification names a flipped section digest, and
+# the migration envelope carries a receipt under 1 KiB whose config
+# record is checked key by key.
+go test -run 'TestPayloadLayoutPinned|TestDiffNamesFirstDivergence|TestEveryFieldCounts|TestLoadRejectsCorruption' ./internal/snapshot
+go test -run 'TestResumeDetectsDivergence' ./internal/rt
+go test -run 'TestMigrateEnvelopeCarriesReceipt|TestVerifySnapshotMatchesConfigRecord' ./internal/server
 
 # Crash-safety gates. First the in-process differential (resume from
 # any checkpoint reproduces the uninterrupted run bit for bit, with
