@@ -28,7 +28,10 @@ import (
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/platform/sim"
+	"repro/internal/rt"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -283,20 +286,34 @@ func BenchmarkAppTSPLFF(b *testing.B)    { benchApp(b, "tsp", "LFF", 8) }
 
 // --- Checkpoint overhead ----------------------------------------------
 
-// benchCheckpoint measures one tasks/LFF cell with and without
-// crash-safe checkpointing; the Off/On pair feeds the 2% overhead gate
-// in benchdiff.sh (capture is read-only, so the cost is encoding plus
-// the atomic write).
+// benchCheckpoint measures one tasks/LFF cell on 4 CPUs with and
+// without per-boundary checkpoints; the Off/On pair feeds the 2%
+// overhead gate in benchdiff.sh. Checkpoints go where atsimd sends
+// them: OnCheckpoint writes each receipt atomically to a file
+// (capture is read-only, so the cost is sealing plus the atomic
+// write).
 func benchCheckpoint(b *testing.B, every uint64) {
 	b.Helper()
-	cfg := benchSched
-	cfg.CPUs = 4
+	app, err := workloads.SchedAppByName("tasks")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ckpt rt.CheckpointConfig
 	if every > 0 {
-		cfg.CheckpointEvery = every
-		cfg.CheckpointPath = filepath.Join(b.TempDir(), "bench.snap")
+		path := filepath.Join(b.TempDir(), "bench.snap")
+		ckpt = rt.CheckpointConfig{
+			Every:        every,
+			OnCheckpoint: func(st *snapshot.State) error { return st.WriteFile(path) },
+		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSched("tasks", "LFF", cfg); err != nil {
+		e, err := rt.New(sim.New(machine.New(machine.Enterprise5000(4))),
+			rt.Options{Policy: "LFF", Seed: benchSched.Seed, Checkpoint: ckpt})
+		if err != nil {
+			b.Fatal(err)
+		}
+		app.Spawn(e, benchSched.Scale)
+		if err := e.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,19 +11,15 @@
 //	atsim -replay run.json
 //	atsim -app tasks -cpus 4 -faults all -health
 //	atsim -app tasks -cpus 4 -trace-out trace.json -metrics-out metrics.prom
-//	atsim -app tasks -cpus 4 -checkpoint-every 500000 -checkpoint run.snap
-//	atsim -app tasks -cpus 4 -checkpoint-every 500000 -checkpoint run.snap -resume
 //	atsim -list
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -38,7 +34,6 @@ import (
 	"repro/internal/platform/replay"
 	"repro/internal/platform/sim"
 	"repro/internal/rt"
-	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -57,9 +52,6 @@ func main() {
 	replayFile := flag.String("replay", "", "replay a recorded trace through the scheduler instead of simulating")
 	faults := flag.String("faults", "", "inject counter faults: wrap=BITS,stuck=LEN@EVERY,drop=LEN@EVERY,spike=DELTA@EVERY,skew=CYCLES,seed=N, or 'all'")
 	health := flag.Bool("health", false, "print per-CPU counter health after the run")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "write a crash-safe snapshot every N virtual cycles (requires -checkpoint)")
-	ckptPath := flag.String("checkpoint", "", "snapshot file for -checkpoint-every / -resume")
-	resume := flag.Bool("resume", false, "resume from the -checkpoint snapshot if it exists (verified bit-exact)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "abort with a diagnostic dump if no dispatch happens for this much wall time (e.g. 30s; 0 disables)")
 	obsLevel := flag.String("obs", "off", "observability level: off, metrics or trace")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace of the run to this file (implies -obs trace)")
@@ -115,16 +107,9 @@ func main() {
 	if *metricsOut != "" && level < obs.Metrics {
 		level = obs.Metrics
 	}
-	if *ckptEvery > 0 && *ckptPath == "" {
-		usageError(fmt.Errorf("-checkpoint-every %d needs -checkpoint FILE", *ckptEvery))
+	if *stallTimeout != 0 && (*record != "" || *timeline > 0 || *verbose) {
+		usageError(fmt.Errorf("-stall-timeout only applies to the default and -faults run modes"))
 	}
-	if *resume && *ckptPath == "" {
-		usageError(fmt.Errorf("-resume needs -checkpoint FILE"))
-	}
-	if (*ckptPath != "" || *stallTimeout != 0) && (*record != "" || *timeline > 0 || *verbose) {
-		usageError(fmt.Errorf("-checkpoint/-stall-timeout only apply to the default and -faults run modes"))
-	}
-	crash := crashConfig{every: *ckptEvery, path: *ckptPath, resume: *resume, stallTimeout: *stallTimeout, topology: topo}
 	session := obs.NewSession(level, 0)
 	if *debugAddr != "" {
 		bound, err := session.StartDebugServer(*debugAddr)
@@ -137,7 +122,7 @@ func main() {
 
 	switch {
 	case faultCfg.Enabled() || *health:
-		err = runFaults(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, faultCfg, session, crash)
+		err = runFaults(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, faultCfg, session, *stallTimeout)
 	case *record != "":
 		err = runRecord(*record, *app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session)
 	case *timeline > 0:
@@ -145,7 +130,7 @@ func main() {
 	case *verbose:
 		err = runVerbose(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session)
 	default:
-		err = runDefault(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session, crash)
+		err = runDefault(*app, *policy, *cpus, topo, *scale, *seed, *noAnnot, session, *stallTimeout)
 	}
 	if err == nil {
 		err = exportObs(session, *traceOut, *metricsOut)
@@ -185,49 +170,9 @@ func exportObs(session *obs.Session, traceOut, metricsOut string) error {
 	return nil
 }
 
-// crashConfig bundles the crash-safety flags shared by the run modes
-// that support them.
-type crashConfig struct {
-	every        uint64
-	path         string
-	resume       bool
-	stallTimeout time.Duration
-	topology     cachesim.Topology
-}
-
-// checkpoint builds the engine-level checkpoint configuration for the
-// direct-engine modes: the config record mirrors the experiment
-// driver's (app, scale, ablations) plus the fault spec, so a faulted
-// snapshot can never resume a clean run or vice versa.
-func (c crashConfig) checkpoint(appName string, scale float64, noAnnot bool, faultCfg faulty.Config) (rt.CheckpointConfig, error) {
-	cfg := rt.CheckpointConfig{
-		Every: c.every,
-		Path:  c.path,
-		Config: []snapshot.KV{
-			{K: "app", V: appName},
-			{K: "scale", V: strconv.FormatFloat(scale, 'g', -1, 64)},
-			{K: "noannot", V: strconv.FormatBool(noAnnot)},
-			{K: "faults", V: faultCfg.String()},
-			{K: "topology", V: c.topology.String()},
-		},
-	}
-	if c.resume {
-		st, err := snapshot.LoadFile(c.path)
-		switch {
-		case err == nil:
-			cfg.Resume = st
-		case errors.Is(err, os.ErrNotExist):
-			// No snapshot yet: start fresh, as a restarted soak loop does.
-		default:
-			return rt.CheckpointConfig{}, err
-		}
-	}
-	return cfg, nil
-}
-
 // runDefault is the plain counters-only run behind the flagless
 // invocation.
-func runDefault(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, session *obs.Session, crash crashConfig) error {
+func runDefault(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, session *obs.Session, stallTimeout time.Duration) error {
 	run, err := experiments.RunSched(appName, policy, experiments.SchedConfig{
 		CPUs:               cpus,
 		Topology:           topo.String(),
@@ -235,10 +180,7 @@ func runDefault(appName, policy string, cpus int, topo cachesim.Topology, scale 
 		Seed:               seed,
 		DisableAnnotations: noAnnot,
 		Obs:                session,
-		CheckpointEvery:    crash.every,
-		CheckpointPath:     crash.path,
-		Resume:             crash.resume,
-		StallTimeout:       crash.stallTimeout,
+		StallTimeout:       stallTimeout,
 	})
 	if err != nil {
 		return err
@@ -335,12 +277,8 @@ func runVerbose(appName, policy string, cpus int, topo cachesim.Topology, scale 
 // around the simulator and reports the per-CPU counter-health
 // accounting — the runtime's sanitizer and quarantine machinery at
 // work against lying instrumentation.
-func runFaults(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, cfg faulty.Config, session *obs.Session, crash crashConfig) error {
+func runFaults(appName, policy string, cpus int, topo cachesim.Topology, scale float64, seed uint64, noAnnot bool, cfg faulty.Config, session *obs.Session, stallTimeout time.Duration) error {
 	app, err := workloads.SchedAppByName(appName)
-	if err != nil {
-		return err
-	}
-	ckpt, err := crash.checkpoint(appName, scale, noAnnot, cfg)
 	if err != nil {
 		return err
 	}
@@ -350,8 +288,8 @@ func runFaults(appName, policy string, cpus int, topo cachesim.Topology, scale f
 		return err
 	}
 	e, err := rt.New(plat, rt.Options{Policy: policy, Seed: seed, DisableAnnotations: noAnnot,
-		Obs:        session.Observer(cellKey(appName, policy, cpus, cfg.Enabled()), cpus),
-		Checkpoint: ckpt, StallTimeout: crash.stallTimeout})
+		Obs:          session.Observer(cellKey(appName, policy, cpus, cfg.Enabled()), cpus),
+		StallTimeout: stallTimeout})
 	if err != nil {
 		return err
 	}

@@ -24,10 +24,6 @@
 //	-trace-out f    write a Chrome trace of the scheduling runs (Perfetto)
 //	-metrics-out f  write Prometheus metrics of the scheduling runs
 //	-debug-addr a   serve pprof/expvar/metrics debug endpoints
-//	-checkpoint-every n  write per-cell crash-safe snapshots every n
-//	                     virtual cycles (with -checkpoint-dir)
-//	-checkpoint-dir d    snapshot directory (one file per cell)
-//	-resume              resume each cell from its snapshot if present
 //	-stall-timeout d     abort stalled runs with a diagnostic dump
 //
 // Traces and metrics are byte-identical for any -j value: observer
@@ -57,9 +53,6 @@ func main() {
 	topology := flag.String("topology", "", "cache topology for scheduling experiments: private-dm, shared-llc, shared-assoc:W or shared-fa (default private-dm)")
 	quick := flag.Bool("quick", false, "fast reduced-size runs")
 	jobs := flag.Int("j", 1, "worker threads for independent experiment cells (0 = all processors)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "write per-cell crash-safe snapshots every N virtual cycles (requires -checkpoint-dir)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for per-cell snapshots")
-	resume := flag.Bool("resume", false, "resume each cell from its snapshot in -checkpoint-dir if present (verified bit-exact)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "abort a run with a diagnostic dump if it makes no dispatch for this much wall time (0 disables)")
 	obsLevel := flag.String("obs", "off", "observability level: off, metrics or trace")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace of the scheduling runs to this file (implies -obs trace)")
@@ -99,19 +92,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: debug endpoints on http://%s/debug/pprof (metrics at /metrics)\n", bound)
 	}
 
-	if (*ckptEvery > 0 || *resume) && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "repro: -checkpoint-every/-resume need -checkpoint-dir")
-		os.Exit(2)
-	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
-	}
 	sched := experiments.SchedConfig{Scale: *scale, Seed: *seed, CPUs: *cpus, Jobs: *jobs, Obs: session,
-		CheckpointEvery: *ckptEvery, CheckpointDir: *ckptDir, Resume: *resume, StallTimeout: *stallTimeout,
-		Topology: *topology}
+		StallTimeout: *stallTimeout, Topology: *topology}
 	study := experiments.StudyConfig{Seed: *seed, Jobs: *jobs}
 	if *quick {
 		if *scale == 1.0 {

@@ -9,12 +9,7 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/cachesim"
@@ -22,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform/sim"
 	"repro/internal/rt"
-	"repro/internal/snapshot"
 	"repro/internal/workloads"
 )
 
@@ -98,26 +92,6 @@ type SchedConfig struct {
 	// cell's configuration, so session exports are byte-identical for
 	// any Jobs value.
 	Obs *obs.Session
-	// CheckpointEvery enables crash-safe checkpointing: every run
-	// writes a verified-resumable snapshot each time its virtual clock
-	// crosses a boundary (0 disables). Requires CheckpointPath or
-	// CheckpointDir. Checkpoint capture is read-only, so results are
-	// bit-identical with and without it.
-	CheckpointEvery uint64
-	// CheckpointPath is the snapshot file of a single run. For
-	// multi-cell experiments use CheckpointDir instead: each cell's
-	// file is derived from its cell key, so results stay independent
-	// of Jobs.
-	CheckpointPath string
-	// CheckpointDir places each cell's snapshot at
-	// <dir>/<sanitized cell key>.snap.
-	CheckpointDir string
-	// Resume loads each run's snapshot file (from CheckpointPath or
-	// CheckpointDir) if one exists, re-executes deterministically to
-	// its cursor, verifies bit-exact agreement and continues; runs
-	// whose file does not exist start fresh, so an interrupted
-	// multi-cell sweep resumes exactly where each cell left off.
-	Resume bool
 	// StallTimeout arms the engine's stall watchdog (see rt.Options).
 	StallTimeout time.Duration
 	// Topology selects the cache organisation ("" or "private-dm" for
@@ -143,58 +117,6 @@ func (c SchedConfig) cellKey(app, policy string) string {
 		key += "/" + topo.String()
 	}
 	return key
-}
-
-// configKV renders the run parameters the engine cannot verify itself
-// (it checks policy, CPU count and seed natively) as the snapshot's
-// config record, so a checkpoint can never be resumed under a
-// different application or scale.
-func (c SchedConfig) configKV(app string) []snapshot.KV {
-	return []snapshot.KV{
-		{K: "app", V: app},
-		{K: "scale", V: strconv.FormatFloat(c.Scale, 'g', -1, 64)},
-		{K: "noannot", V: strconv.FormatBool(c.DisableAnnotations)},
-		{K: "infer", V: strconv.FormatBool(c.InferSharing)},
-		{K: "threshold", V: strconv.FormatFloat(c.Threshold, 'g', -1, 64)},
-		{K: "spawnstacks", V: strconv.FormatBool(c.SpawnStacks)},
-		{K: "topology", V: c.topology().String()},
-	}
-}
-
-// topology parses the configured spec, falling back to the private
-// default on garbage — RunSched rejects the garbage before any
-// snapshot is written, so the fallback is never persisted.
-func (c SchedConfig) topology() cachesim.Topology {
-	topo, _ := cachesim.ParseTopology(c.Topology)
-	return topo
-}
-
-// checkpointConfig resolves the run's snapshot path and, when resuming,
-// loads the stored snapshot. A Resume with no snapshot file present
-// starts fresh — that is what lets a killed multi-cell sweep restart
-// with every cell picking up from its own last boundary.
-func (c SchedConfig) checkpointConfig(app, policy string) (rt.CheckpointConfig, error) {
-	cfg := rt.CheckpointConfig{Every: c.CheckpointEvery, Path: c.CheckpointPath}
-	if cfg.Path == "" && c.CheckpointDir != "" {
-		cfg.Path = filepath.Join(c.CheckpointDir,
-			strings.NewReplacer("/", "_", " ", "_").Replace(c.cellKey(app, policy))+".snap")
-	}
-	if cfg.Every == 0 && cfg.Path == "" && !c.Resume {
-		return rt.CheckpointConfig{}, nil
-	}
-	cfg.Config = c.configKV(app)
-	if c.Resume && cfg.Path != "" {
-		st, err := snapshot.LoadFile(cfg.Path)
-		switch {
-		case err == nil:
-			cfg.Resume = st
-		case errors.Is(err, os.ErrNotExist):
-			// fresh start
-		default:
-			return rt.CheckpointConfig{}, err
-		}
-	}
-	return cfg, nil
 }
 
 func (c SchedConfig) withDefaults() SchedConfig {
@@ -233,10 +155,6 @@ func RunSched(appName, policy string, cfg SchedConfig) (PolicyRun, error) {
 	if err != nil {
 		return PolicyRun{}, fmt.Errorf("experiments: %s/%s/%dcpu: %w", appName, policy, cfg.CPUs, err)
 	}
-	ckpt, err := cfg.checkpointConfig(appName, policy)
-	if err != nil {
-		return PolicyRun{}, fmt.Errorf("experiments: %s/%s/%dcpu: %w", appName, policy, cfg.CPUs, err)
-	}
 	m := machine.New(platform(cfg.CPUs, topo))
 	e, err := rt.New(sim.New(m), rt.Options{
 		Policy:             policy,
@@ -246,7 +164,6 @@ func RunSched(appName, policy string, cfg SchedConfig) (PolicyRun, error) {
 		ThresholdLines:     cfg.Threshold,
 		SpawnStacks:        cfg.SpawnStacks,
 		Obs:                cfg.Obs.Observer(cfg.cellKey(appName, policy), cfg.CPUs),
-		Checkpoint:         ckpt,
 		StallTimeout:       cfg.StallTimeout,
 	})
 	if err != nil {

@@ -3,8 +3,8 @@ package rt
 // Context cancellation tests: Run observes a cancelled context within
 // one scheduling interval (every dispatch re-checks, plus the
 // periodic step check), and the partial state of a cancelled run is
-// still snapshottable — the property checkpointing and the soak
-// harness's kill-anywhere recovery rest on.
+// still snapshottable — the property atsimd's eviction and
+// crash recovery rest on.
 
 import (
 	"bytes"

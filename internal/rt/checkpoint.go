@@ -4,8 +4,9 @@ package rt
 // virtual-cycle boundary — run identity, step cursor and clock, an obs
 // digest, and one digest per state section (engine scalars, per-CPU
 // clocks/counters, timers, thread table, scheduler footprints and
-// queues, sharing graph, sanitizer state) — written atomically to disk
-// on a fixed virtual-cycle schedule.
+// queues, sharing graph, sanitizer state) — handed to the host's
+// OnCheckpoint callback on a fixed virtual-cycle schedule. The host
+// decides where it goes; atsimd persists it atomically per session.
 //
 // Resume works by verified deterministic fast-forward. Thread bodies
 // live on Go goroutine stacks, which cannot be serialized; what CAN be
@@ -23,8 +24,8 @@ package rt
 // passed its CRC) aborts, naming the divergent field or section,
 // instead of silently producing different results. The capture itself
 // is read-only, so enabling checkpoints never perturbs a run: goldens
-// with and without -checkpoint-every are identical, which is also
-// what makes the fast-forward exact.
+// with and without checkpointing are identical, which is also what
+// makes the fast-forward exact.
 
 import (
 	"fmt"
@@ -39,12 +40,8 @@ type CheckpointConfig struct {
 	// Every is the checkpoint interval in virtual cycles; 0 disables
 	// checkpoint writing (a Resume-only engine verifies and continues
 	// without writing new checkpoints unless the snapshot carries an
-	// interval and a destination is set).
+	// interval and OnCheckpoint is set).
 	Every uint64
-	// Path is the snapshot file, rewritten atomically at every
-	// boundary (a kill at any instant leaves the previous complete
-	// snapshot or the new one).
-	Path string
 	// Config is the runner-level run configuration (app, scale, fault
 	// spec, ...), recorded in every snapshot and compared on resume so
 	// a snapshot cannot be applied to a differently-configured run.
@@ -54,10 +51,10 @@ type CheckpointConfig struct {
 	// engine re-executes deterministically to the snapshot's step
 	// cursor, verifies bit-exact agreement, and continues.
 	Resume *snapshot.State
-	// OnCheckpoint, when non-nil, observes every checkpoint capture
-	// after it is written (the soak harness prints boundary markers
-	// from it). Returning an error aborts the run. It must not call
-	// back into the engine.
+	// OnCheckpoint receives every checkpoint capture; it is the only
+	// destination (atsimd persists the receipt and parks the session
+	// there, a test collects it). Returning an error aborts the run.
+	// It must not call back into the engine.
 	OnCheckpoint func(*snapshot.State) error
 }
 
@@ -65,7 +62,6 @@ type CheckpointConfig struct {
 type ckptState struct {
 	every   uint64
 	next    uint64
-	path    string
 	config  []snapshot.KV
 	onWrite func(*snapshot.State) error
 	// resume holds the snapshot awaiting fast-forward verification;
@@ -81,18 +77,16 @@ type ckptState struct {
 func (e *Engine) initCheckpoint(cfg CheckpointConfig) error {
 	c := ckptState{
 		every:   cfg.Every,
-		path:    cfg.Path,
 		onWrite: cfg.OnCheckpoint,
 		resume:  cfg.Resume,
 		config:  append([]snapshot.KV(nil), cfg.Config...),
 	}
 	sort.Slice(c.config, func(i, j int) bool { return c.config[i].K < c.config[j].K })
-	hasDest := c.path != "" || c.onWrite != nil
 	if r := cfg.Resume; r != nil {
 		if cfg.Every != 0 && cfg.Every != r.CheckpointEvery {
 			return fmt.Errorf("rt: resume with checkpoint interval %d, but the snapshot was written every %d cycles — the boundary schedules would diverge", cfg.Every, r.CheckpointEvery)
 		}
-		if c.every == 0 && hasDest {
+		if c.every == 0 && c.onWrite != nil {
 			c.every = r.CheckpointEvery
 		}
 		if got, want := e.sched.PolicyName(), r.Policy; got != want {
@@ -114,8 +108,8 @@ func (e *Engine) initCheckpoint(cfg CheckpointConfig) error {
 	} else {
 		c.next = c.every // first boundary one interval in
 	}
-	if c.every > 0 && !hasDest {
-		return fmt.Errorf("rt: checkpointing every %d cycles with neither a path nor an OnCheckpoint callback", c.every)
+	if c.every > 0 && c.onWrite == nil {
+		return fmt.Errorf("rt: checkpointing every %d cycles with no OnCheckpoint callback", c.every)
 	}
 	e.ckpt = c
 	return nil
@@ -209,22 +203,14 @@ func (e *Engine) CaptureState() *snapshot.State {
 	return st
 }
 
-// writeCheckpoint advances the boundary cursor and writes the capture.
-// Called from the run loop when e.now crosses the pending boundary.
-// The cursor moves first so the stored NextCheckpoint names the
-// boundary a resumed run must write next.
+// writeCheckpoint advances the boundary cursor and hands the capture
+// to OnCheckpoint. Called from the run loop when e.now crosses the
+// pending boundary. The cursor moves first so the stored
+// NextCheckpoint names the boundary a resumed run must write next.
 func (e *Engine) writeCheckpoint() error {
 	e.ckpt.next = (e.now/e.ckpt.every + 1) * e.ckpt.every
-	st := e.CaptureState()
-	if e.ckpt.path != "" {
-		if err := st.WriteFile(e.ckpt.path); err != nil {
-			return fmt.Errorf("rt: checkpoint at cycle %d: %w", e.now, err)
-		}
-	}
-	if e.ckpt.onWrite != nil {
-		if err := e.ckpt.onWrite(st); err != nil {
-			return fmt.Errorf("rt: checkpoint callback at cycle %d: %w", e.now, err)
-		}
+	if err := e.ckpt.onWrite(e.CaptureState()); err != nil {
+		return fmt.Errorf("rt: checkpoint callback at cycle %d: %w", e.now, err)
 	}
 	return nil
 }

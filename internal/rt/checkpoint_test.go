@@ -217,11 +217,15 @@ func TestKillResumeUnderFaults(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileRoundTrip drives the on-disk path: checkpoints
-// land in a file, the file loads, and the loaded snapshot resumes.
+// TestCheckpointFileRoundTrip drives the on-disk path the way atsimd
+// does: OnCheckpoint writes each capture to a file, the file loads,
+// and the loaded snapshot resumes.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.snap")
-	e := ckptEngine(t, Options{Checkpoint: CheckpointConfig{Every: 5000, Path: path}})
+	e := ckptEngine(t, Options{Checkpoint: CheckpointConfig{
+		Every:        5000,
+		OnCheckpoint: func(st *snapshot.State) error { return st.WriteFile(path) },
+	}})
 	mustRun(t, e)
 	final := e.CaptureState()
 
@@ -294,7 +298,7 @@ func TestResumeRejectsForeignSnapshots(t *testing.T) {
 		t.Errorf("conflicting interval: err = %v", err)
 	}
 	// Checkpointing with nowhere to write.
-	if err := newWith(Options{Checkpoint: CheckpointConfig{Every: 100}}); err == nil || !strings.Contains(err.Error(), "neither a path nor") {
+	if err := newWith(Options{Checkpoint: CheckpointConfig{Every: 100}}); err == nil || !strings.Contains(err.Error(), "no OnCheckpoint") {
 		t.Errorf("no destination: err = %v", err)
 	}
 }

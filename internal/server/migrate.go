@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cachesim"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
@@ -702,8 +703,9 @@ func wireToEntries(wire []obsWireEntry) []seqEntry[obs.Event] {
 
 // verifySnapshotMatches decodes the transferred container (checking
 // magic, version and CRC64) and cross-checks the fields that fingerprint
-// the configuration: seed, policy, quantum and the engine's config
-// record (which carries app, scale, topology, obs level...). The full
+// the configuration: seed, policy, quantum, CPU count, cache size and
+// the engine's config record (which carries app, scale, topology, obs
+// level...) — the identity rt checks on resume. The full
 // guarantee — bit-identical state — is enforced later by the engine's
 // verified deterministic fast-forward on first resume; this check
 // merely refuses obviously-mismatched transfers before they are
@@ -724,6 +726,17 @@ func verifySnapshotMatches(raw []byte, cfg SessionConfig) error {
 	}
 	if st.CheckpointEvery != cfg.Quantum {
 		return fmt.Errorf("migrated snapshot quantum %d does not match config quantum %d", st.CheckpointEvery, cfg.Quantum)
+	}
+	topo, err := cachesim.ParseTopology(cfg.Topology)
+	if err != nil {
+		return err
+	}
+	mcfg := cfg.machineConfig(topo)
+	if got, want := int(st.NCPU), mcfg.CPUs; got != want {
+		return fmt.Errorf("migrated snapshot is for %d CPUs, config has %d", got, want)
+	}
+	if got, want := st.CacheLines, int64(mcfg.L2.Lines()); got != want {
+		return fmt.Errorf("migrated snapshot is for a %d-line cache, config has %d", got, want)
 	}
 	if err := snapshot.SameConfig(st.Config, cfg.kv()); err != nil {
 		return fmt.Errorf("migrated snapshot config record does not match the session config: %w", err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/retry"
 	"repro/internal/snapshot"
 )
@@ -691,12 +692,14 @@ func TestMigrateEnvelopeCarriesReceipt(t *testing.T) {
 	}
 }
 
-// TestVerifySnapshotMatchesConfigRecord: a transferred snapshot whose
-// config record repeats one key in place of another has the right
-// length but the wrong record, and is refused before it is persisted.
+// TestVerifySnapshotMatchesConfigRecord: a transferred snapshot for
+// another machine (CPU count or cache size), or whose config record
+// repeats one key in place of another (the right length but the wrong
+// record), is refused before it is persisted.
 func TestVerifySnapshotMatchesConfigRecord(t *testing.T) {
 	cfg := testSessionConfig(509)
-	st := &snapshot.State{Config: cfg.kv(), Policy: cfg.Policy, Seed: cfg.Seed, CheckpointEvery: cfg.Quantum}
+	st := &snapshot.State{Config: cfg.kv(), Policy: cfg.Policy, Seed: cfg.Seed, CheckpointEvery: cfg.Quantum,
+		NCPU: int32(cfg.CPUs), CacheLines: int64(machine.Enterprise5000(cfg.CPUs).L2.Lines())}
 	raw := func() []byte {
 		var buf bytes.Buffer
 		if err := st.Save(&buf); err != nil {
@@ -706,6 +709,20 @@ func TestVerifySnapshotMatchesConfigRecord(t *testing.T) {
 	}
 	if err := verifySnapshotMatches(raw(), cfg); err != nil {
 		t.Fatalf("matching record refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*snapshot.State)
+	}{
+		{"ncpu", "CPUs", func(s *snapshot.State) { s.NCPU *= 2 }},
+		{"cache lines", "cache", func(s *snapshot.State) { s.CacheLines /= 2 }},
+	} {
+		good := *st
+		tc.mutate(st)
+		if err := verifySnapshotMatches(raw(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s mismatch accepted (err %v), want a %s mismatch", tc.name, err, tc.want)
+		}
+		*st = good
 	}
 	var keys []string
 	for i, kv := range st.Config {

@@ -67,9 +67,6 @@ type Config struct {
 	// Retry shapes all store IO retries (zero value = package
 	// defaults: 4 attempts, 5ms base, 500ms cap).
 	Retry retry.Policy
-	// HeartbeatEvery paces watchdog heartbeats from parked engines
-	// (default 1s; must stay below StallTimeout).
-	HeartbeatEvery time.Duration
 	// SessionObs is the engine observability level for sessions that
 	// do not pick one: "off", "metrics" or "trace" (default "trace" —
 	// the paper's premise is that always-on telemetry is cheap enough
@@ -114,6 +111,16 @@ type Config struct {
 	CrashPoint func(point string) error
 }
 
+// heartbeatEvery paces watchdog heartbeats from parked engines: once a
+// second, or four times per StallTimeout when that is shorter, so a
+// parked session never looks stalled.
+func (c Config) heartbeatEvery() time.Duration {
+	if hb := c.StallTimeout / 4; hb > 0 && hb < time.Second {
+		return hb
+	}
+	return time.Second
+}
+
 func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 16384
@@ -144,12 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultQuantum == 0 {
 		c.DefaultQuantum = 100_000
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Second
-	}
-	if hb := c.StallTimeout / 4; c.HeartbeatEvery > hb && hb > 0 {
-		c.HeartbeatEvery = hb
 	}
 	if c.SessionObs == "" {
 		c.SessionObs = "trace"

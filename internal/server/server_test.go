@@ -24,7 +24,6 @@ func testConfig(dir string) Config {
 		DataDir:        dir,
 		MaxLive:        4,
 		Workers:        2,
-		HeartbeatEvery: 10 * time.Millisecond,
 		StallTimeout:   10 * time.Second,
 		DefaultQuantum: 50_000,
 		EnableChaos:    true,

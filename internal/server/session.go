@@ -657,7 +657,7 @@ func (le *liveEngine) waitGrant(e *rt.Engine) bool {
 	// no-op either way.
 	le.phase.CompareAndSwap(engineBusy, engineParked)
 	le.releaseToken()
-	tick := time.NewTicker(le.srv.cfg.HeartbeatEvery)
+	tick := time.NewTicker(le.srv.cfg.heartbeatEvery())
 	defer tick.Stop()
 	for {
 		select {

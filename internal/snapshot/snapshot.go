@@ -284,8 +284,9 @@ func (s *State) Seal(c *Capture) {
 }
 
 // Fingerprint is the CRC64 of the receipt's encoding — a compact
-// identity for "this exact state" (the soak harness compares final
-// fingerprints across kill/resume schedules).
+// identity for "this exact state" (atsimd reports it as a session's
+// result, and the server and migration soaks compare it against
+// uninterrupted control twins).
 func (s *State) Fingerprint() uint64 {
 	e := s.encode()
 	defer e.release()

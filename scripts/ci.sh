@@ -17,6 +17,24 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# gate PKG REGEX runs the named tests REGEX selects in PKG. It first
+# fails unless every |-separated alternative matches at least one test
+# that `go test -list` reports there, so a deleted or renamed test
+# cannot turn its gate into a silent "[no tests to run]" pass.
+gate() {
+    listed=$(go test -list "$2" "$1" | grep -E '^(Test|Example|Fuzz)' || true)
+    set -f
+    old_ifs=$IFS
+    IFS='|'
+    for alt in $2; do
+        printf '%s\n' "$listed" | grep -Eq -- "$alt" || {
+            echo "gate $1: no test matches '$alt'" >&2; exit 1; }
+    done
+    IFS=$old_ifs
+    set +f
+    go test -run "$2" "$1"
+}
+
 go vet ./...
 go test -race -short -timeout 30m ./...
 go test -fuzz FuzzLoadRecording -fuzztime 10s -run '^$' ./internal/trace
@@ -28,22 +46,22 @@ go test -fuzz FuzzLoadSnapshot -fuzztime 10s -run '^$' ./internal/snapshot
 # worker count, and full tracing must not move a single golden counter.
 # Both already ran under -race above; re-running them plainly makes the
 # gate explicit and keeps it alive if the suites above are trimmed.
-go test -run 'TestExportsDeterministicAcrossWorkers' ./internal/experiments
-go test -run 'TestGoldenUnchangedByObservation' .
+gate ./internal/experiments 'TestExportsDeterministicAcrossWorkers'
+gate . 'TestGoldenUnchangedByObservation'
 
 # Live-stream determinism gates: the server's /obs stream must be
 # byte-identical to the standalone engine's post-hoc export at any
 # worker count, a follower must accumulate exactly the batch bytes,
 # and evict/resume cycles must not perturb the sequence.
-go test -run 'TestObsStreamMatchesEngineExport|TestObsFollowEqualsBatch|TestObsStreamSurvivesEviction' ./internal/server
-go test -run 'TestStreamFollowEqualsBatch' ./internal/obs
+gate ./internal/server 'TestObsStreamMatchesEngineExport|TestObsFollowEqualsBatch|TestObsStreamSurvivesEviction'
+gate ./internal/obs 'TestStreamFollowEqualsBatch'
 
 # Stream-accounting gates: the one bounded log behind /events, /obs and
 # the span ring numbers, trims and reports loss by one rule (dropped +
 # retained == newest seq, leading and interior gaps alike), a followed
 # /events stream ends with the session's deleted record, and an
 # overflowed span ring keeps exactly the newest spans.
-go test -run 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEndsAtDelete|TestServerTraceSpanOverflow' ./internal/server
+gate ./internal/server 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEndsAtDelete|TestServerTraceSpanOverflow'
 
 # Cache-topology gates. The degenerate-equivalence differential (a
 # shared hierarchy at one CPU must match the private direct-mapped
@@ -51,8 +69,8 @@ go test -run 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEndsAtDelete
 # co-runner-aware model tracking the simulator and the shared-aware
 # policies beating FCFS under the shared cache. All ran under -race
 # above; kept explicit for the same reason as the telemetry gates.
-go test -run 'TestSharedDegenerates' ./internal/machine
-go test -run 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS' ./internal/experiments
+gate ./internal/machine 'TestSharedDegenerates'
+gate ./internal/experiments 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS'
 
 # Snapshot format gates: the receipt bytes and section digests stay
 # pinned, Diff names the divergent field or section and misses no
@@ -60,29 +78,15 @@ go test -run 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS' ./internal/exper
 # allocation, resume verification names a flipped section digest, and
 # the migration envelope carries a receipt under 1 KiB whose config
 # record is checked key by key.
-go test -run 'TestPayloadLayoutPinned|TestDiffNamesFirstDivergence|TestEveryFieldCounts|TestLoadRejectsCorruption' ./internal/snapshot
-go test -run 'TestResumeDetectsDivergence' ./internal/rt
-go test -run 'TestMigrateEnvelopeCarriesReceipt|TestVerifySnapshotMatchesConfigRecord' ./internal/server
+gate ./internal/snapshot 'TestPayloadLayoutPinned|TestDiffNamesFirstDivergence|TestEveryFieldCounts|TestLoadRejectsCorruption'
+gate ./internal/rt 'TestResumeDetectsDivergence'
+gate ./internal/server 'TestMigrateEnvelopeCarriesReceipt|TestVerifySnapshotMatchesConfigRecord'
 
-# Crash-safety gates. First the in-process differential (resume from
-# any checkpoint reproduces the uninterrupted run bit for bit, with
-# telemetry and under counter faults), then a real kill-resume pass:
-# a checkpointing atsim run, a fresh -resume of its snapshot, and the
-# two stdouts must match byte for byte.
-go test -run 'TestKillResume|TestCheckpointCaptureIsPure' ./internal/rt
-ckptdir=$(mktemp -d)
-trap 'rm -rf "$ckptdir"' EXIT
-go build -o "$ckptdir/atsim" ./cmd/atsim
-"$ckptdir/atsim" -app tasks -cpus 2 -scale 0.2 -checkpoint-every 10000 \
-    -checkpoint "$ckptdir/run.snap" > "$ckptdir/straight.txt"
-"$ckptdir/atsim" -app tasks -cpus 2 -scale 0.2 -checkpoint-every 10000 \
-    -checkpoint "$ckptdir/run.snap" -resume > "$ckptdir/resumed.txt"
-cmp "$ckptdir/straight.txt" "$ckptdir/resumed.txt" || {
-    echo "kill-resume differential: resumed run output diverged" >&2; exit 1; }
-
-# Chaos soak smoke: one subprocess SIGKILL/resume cycle converging to
-# the straight-run fingerprint (scripts/soak.sh runs the full matrix).
-scripts/soak.sh -app tasks -policy LFF -cpus 2 -scale 0.2 -kills 2 -every 10000
+# Crash-safety gates: the in-process differential atsimd's eviction,
+# restart and migration rest on (resume from any checkpoint reproduces
+# the uninterrupted run bit for bit, with telemetry and under counter
+# faults) and capture purity (checkpointing never perturbs a run).
+gate ./internal/rt 'TestKillResume|TestCheckpointCaptureIsPure'
 
 # Service crash-safety gate: atsimd hosting 500 sessions, SIGKILLed
 # under live step traffic, restarted over the same data directory; a

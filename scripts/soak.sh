@@ -1,18 +1,12 @@
 #!/bin/sh
-# Chaos soak: SIGKILL a checkpointing simulation at random moments,
-# resume it from its last snapshot, and assert the survivor's final
-# state fingerprint is bit-identical to an uninterrupted run's — the
-# end-to-end proof that crash recovery loses nothing.
+# Chaos soaks for atsimd: SIGKILL real server processes at random
+# moments and assert every session still finishes with the final
+# state fingerprint of an uninterrupted control twin.
 #
-# Usage: scripts/soak.sh [soak flags...]
-#        scripts/soak.sh server [N]
+# Usage: scripts/soak.sh server [N]
 #        scripts/soak.sh migrate [N]
 #
-# With no flags, runs a default matrix: a clean multi-CPU run and a
-# fault-injected one, a handful of kills each. Any flags are passed
-# through to one cmd/soak invocation instead (see cmd/soak -h).
-#
-# "server" runs the SERVICE-level chaos gate instead: start atsimd,
+# "server" runs the service-level chaos gate: start atsimd,
 # admit N sessions (default 200), SIGKILL the server under live step
 # traffic, restart it over the same data directory, verify a panic
 # session fails in isolation, run every surviving session to
@@ -266,18 +260,5 @@ if [ "${1:-}" = migrate ]; then
     exit 0
 fi
 
-bin=$(mktemp)
-trap 'rm -f "$bin"' EXIT
-go build -o "$bin" ./cmd/soak
-
-if [ $# -gt 0 ]; then
-    exec "$bin" "$@"
-fi
-
-echo "== soak: tasks/LFF, 4 CPUs, clean counters =="
-"$bin" -app tasks -policy LFF -cpus 4 -scale 0.3 -kills 5 -every 10000
-
-echo "== soak: merge/LFF, 4 CPUs, all counter faults =="
-"$bin" -app merge -policy LFF -cpus 4 -scale 0.2 -faults all -kills 3 -every 8000
-
-echo "soak: all differentials byte-identical"
+echo "usage: $0 server [N] | migrate [N]" >&2
+exit 2
