@@ -16,7 +16,7 @@ import (
 // lookups, no locks on counters. Histograms take one uncontended mutex
 // per observation because stats.Online is not atomically updatable;
 // the mutex exists only so a -debug-addr scrape mid-run is race-free,
-// and the engine goroutine is its only regular customer.
+// and the running engine is its only regular customer.
 //
 // Snapshots merge the per-CPU shards in fixed CPU order (and sessions
 // merge cells in sorted-key order), so snapshot bytes are deterministic

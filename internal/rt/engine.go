@@ -7,10 +7,14 @@
 //
 // Simulated threads are ordinary Go functions executed on goroutines,
 // but the goroutines are used strictly as coroutines: exactly one
-// simulated thread runs at a time, hand-off is a synchronous channel
-// rendezvous, and every scheduling decision is made by this engine —
-// never by the Go scheduler (the reproduction hint warns that the
-// goroutine scheduler is opaque; here it has no influence at all).
+// goroutine runs at a time, and every scheduling decision is made by
+// this engine — never by the Go scheduler (the reproduction hint warns
+// that the goroutine scheduler is opaque; here it has no influence at
+// all). There is no engine goroutine: the run loop is a baton. The
+// thread that issues a request handles it on its own goroutine and
+// runs the loop to the next step; a repeat step of the same thread
+// just returns to its body, and only a change of thread costs a
+// goroutine switch — one unbuffered channel send to the next thread.
 // Running any program twice produces identical cycle counts, miss
 // counts and schedules.
 //
@@ -24,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -164,6 +169,16 @@ type Engine struct {
 	// always processes the minimum-clock CPU).
 	now     uint64
 	failure error
+
+	// Run state shared by whichever goroutine holds the baton: the
+	// run's context, the channel that hands the baton back to Run, the
+	// run's result, an engine panic awaiting re-raise, and the count of
+	// baton passes between thread goroutines.
+	ctx      context.Context
+	done     chan struct{}
+	runErr   error
+	panicked *EnginePanic
+	handoffs uint64
 
 	// OnDispatch, when non-nil, observes every context switch (after
 	// the thread is installed). For tests and diagnostics only; it
@@ -337,7 +352,6 @@ func (e *Engine) newThread(body func(*T), opts SpawnOpts) *T {
 		body:     body,
 		code:     code,
 		toThread: make(chan struct{}),
-		toEngine: make(chan struct{}),
 		rng:      xrand.New(e.opts.Seed ^ (0x9e1 * (uint64(id) + 1))),
 		status:   statusReady,
 	}
@@ -359,6 +373,13 @@ func (e *Engine) newThread(body func(*T), opts SpawnOpts) *T {
 // checkpoint.go). With a stall watchdog armed it aborts with a
 // diagnostic state dump when no dispatch happens for StallTimeout of
 // wall time.
+//
+// The loop itself runs on whichever goroutine holds the baton (see
+// turn): Run takes the first turn, hands the baton to the first thread
+// due a step, and waits for the run to end. A panic in engine code —
+// including the OnCheckpoint, OnDispatch and OnEvent callbacks — ends
+// the run and is re-raised here, on the caller's goroutine, as an
+// *EnginePanic.
 func (e *Engine) Run(ctx context.Context) error {
 	defer e.killRemaining()
 	if e.opts.StallTimeout > 0 {
@@ -366,36 +387,99 @@ func (e *Engine) Run(ctx context.Context) error {
 		e.wd.start()
 		defer e.wd.stop()
 	}
+	e.ctx = ctx
+	e.done = make(chan struct{})
+	if t := e.turn(nil); t != nil {
+		e.pass(t)
+		<-e.done
+	}
+	if e.panicked != nil {
+		panic(e.panicked)
+	}
+	return e.runErr
+}
+
+// EnginePanic is the value Run re-panics with when engine code panicked
+// during the run, usually on a thread goroutine. Its text is the
+// original panic value's, so a caller that recovers and formats it with
+// %v sees the same message; Stack is the trace of the goroutine where
+// the panic happened.
+type EnginePanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *EnginePanic) Error() string { return fmt.Sprint(p.Value) }
+
+// turn is one holding of the baton: it handles t's pending request (t
+// is nil for Run's opening turn) and runs the loop to the next thread
+// due a step, which it returns — nil when the run is over. A panic in
+// engine code ends the run here instead of unwinding into the thread
+// body, whose recover would misreport it as a thread panic.
+func (e *Engine) turn(t *T) (next *T) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = &EnginePanic{Value: r, Stack: debug.Stack()}
+			if t != nil && (t.req.kind == reqExit || t.req.kind == reqPanic) {
+				// The goroutine returns without parking; teardown must
+				// not wait for it.
+				t.status = statusDead
+			}
+			next = nil
+		}
+	}()
+	if t != nil {
+		e.handle(t.cpu, t, &t.req)
+	}
+	return e.next()
+}
+
+// pass hands the baton to t, or back to Run when t is nil (the run is
+// over). The unbuffered send is the happens-before edge between the
+// goroutine giving up engine state and the one taking it.
+func (e *Engine) pass(t *T) {
+	if t == nil {
+		e.done <- struct{}{}
+		return
+	}
+	e.handoffs++
+	t.toThread <- struct{}{}
+}
+
+// next runs loop iterations until a running thread is due a step and
+// returns it; the caller then lets that thread run to its next request.
+// It returns nil when the run ends, with runErr set to the run's result.
+func (e *Engine) next() *T {
 	for e.live > 0 {
 		if e.failure != nil {
-			return e.failure
+			return e.end(e.failure)
 		}
 		if e.wd.tripped() {
-			return e.stallError()
+			return e.end(e.stallError())
 		}
 		if e.ckpt.resume != nil && e.steps == e.ckpt.resume.Steps {
 			if err := e.verifyResume(); err != nil {
-				return err
+				return e.end(err)
 			}
 		}
 		if e.ckpt.every > 0 && e.ckpt.resume == nil && e.now >= e.ckpt.next {
 			if err := e.writeCheckpoint(); err != nil {
-				return err
+				return e.end(err)
 			}
 		}
 		e.steps++
 		if e.steps > e.opts.MaxSteps {
-			return fmt.Errorf("rt: exceeded %d engine steps (runaway workload?)", e.opts.MaxSteps)
+			return e.end(fmt.Errorf("rt: exceeded %d engine steps (runaway workload?)", e.opts.MaxSteps))
 		}
 		if e.steps&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("rt: run cancelled after %d steps: %w", e.steps, err)
+			if err := e.ctx.Err(); err != nil {
+				return e.end(fmt.Errorf("rt: run cancelled after %d steps: %w", e.steps, err))
 			}
 		}
 		p := e.nextCPU()
 		if p < 0 {
 			if !e.advanceToTimer() {
-				return e.describeDeadlock()
+				return e.end(e.describeDeadlock())
 			}
 			continue
 		}
@@ -404,12 +488,11 @@ func (e *Engine) Run(ctx context.Context) error {
 		}
 		e.fireTimers(e.now, p)
 		if t := e.running[p]; t != nil {
-			e.step(p, t)
-			continue
+			return t
 		}
 		if tid, ok := e.sched.PickNext(p); ok {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("rt: run cancelled after %d steps: %w", e.steps, err)
+			if err := e.ctx.Err(); err != nil {
+				return e.end(fmt.Errorf("rt: run cancelled after %d steps: %w", e.steps, err))
 			}
 			e.dispatch(p, tid)
 			continue
@@ -417,10 +500,17 @@ func (e *Engine) Run(ctx context.Context) error {
 		e.parked[p] = true
 	}
 	if e.ckpt.resume != nil {
-		return fmt.Errorf("rt: run completed after %d steps without reaching the resume snapshot's step cursor %d — the snapshot is not from this workload and configuration",
-			e.steps, e.ckpt.resume.Steps)
+		return e.end(fmt.Errorf("rt: run completed after %d steps without reaching the resume snapshot's step cursor %d — the snapshot is not from this workload and configuration",
+			e.steps, e.ckpt.resume.Steps))
 	}
-	return e.failure
+	return e.end(e.failure)
+}
+
+// end records the run's result and returns the nil "no next thread"
+// that ends it.
+func (e *Engine) end(err error) *T {
+	e.runErr = err
+	return nil
 }
 
 // nextCPU returns the unparked CPU with the smallest clock (lowest ID on
@@ -670,12 +760,6 @@ func waitedCycles(dispatchClock, readyClock uint64) uint64 {
 		return 0
 	}
 	return dispatchClock - readyClock
-}
-
-// step resumes the thread running on p for one request and handles it.
-func (e *Engine) step(p int, t *T) {
-	req := t.resume()
-	e.handle(p, t, req)
 }
 
 // ThreadTime is one thread's accumulated execution accounting. The

@@ -22,6 +22,11 @@ type Snapshot struct {
 	NCPU int
 	// Steps is the number of engine steps executed.
 	Steps uint64
+	// Handoffs is the number of times the run loop passed from one
+	// goroutine to a thread goroutine: one per change of thread, none
+	// for a repeat step of the thread that holds it (see Engine.turn).
+	// Deterministic, and never more than Steps.
+	Handoffs uint64
 	// Dispatches is the per-CPU context-switch count.
 	Dispatches []uint64
 	// IdleCycles is the per-CPU cycles spent parked with nothing to
@@ -67,6 +72,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Policy:     e.sched.PolicyName(),
 		NCPU:       len(e.cpus),
 		Steps:      e.steps,
+		Handoffs:   e.handoffs,
 		Dispatches: append([]uint64(nil), e.dispatches...),
 		IdleCycles: append([]uint64(nil), e.idleCycles...),
 		Threads:    threads,

@@ -53,8 +53,8 @@ const (
 )
 
 // request carries one thread-to-engine call. A single request value per
-// thread is reused for every call; only the engine reads it, and only
-// while the thread is parked.
+// thread is reused for every call; the engine reads it on the thread's
+// own goroutine, inside that call.
 type request struct {
 	kind  reqKind
 	batch mem.Batch
@@ -75,7 +75,7 @@ type request struct {
 	err   any
 }
 
-// response carries engine-to-thread results, delivered on resume.
+// response carries engine-to-thread results, read when the call returns.
 type response struct {
 	tid mem.ThreadID
 	r   mem.Range
@@ -85,14 +85,14 @@ type response struct {
 type killedSentinel struct{}
 
 // accessBufferCap bounds the number of buffered accesses before an
-// automatic flush — one engine rendezvous per this many access
+// automatic flush — one engine request per this many access
 // descriptors.
 const accessBufferCap = 512
 
 // T is the thread handle passed to every thread body: the Active
 // Threads API surface. All methods must be called from the thread's own
-// body function (they synchronize with the engine); the zero value is
-// not usable.
+// body function (they run the engine on the calling goroutine); the
+// zero value is not usable.
 type T struct {
 	id   mem.ThreadID
 	name string
@@ -101,7 +101,6 @@ type T struct {
 	code mem.Range
 
 	toThread chan struct{}
-	toEngine chan struct{}
 	req      request
 	resp     response
 	die      bool
@@ -133,7 +132,8 @@ type T struct {
 }
 
 // run is the thread goroutine: wait for first dispatch, execute the
-// body, convert its completion (or panic) into a final request.
+// body, convert its completion (or panic) into a final request, and
+// pass the baton on without parking.
 func (t *T) run() {
 	<-t.toThread
 	if t.die {
@@ -145,11 +145,11 @@ func (t *T) run() {
 				return
 			}
 			t.req = request{kind: reqPanic, err: r}
-			t.toEngine <- struct{}{}
+			t.eng.pass(t.eng.turn(t))
 			return
 		}
-		// Normal completion. The final flush is itself a rendezvous, so
-		// a teardown kill can land inside it; swallow only the kill.
+		// Normal completion. The final flush is itself a request, so a
+		// teardown kill can land inside it; swallow only the kill.
 		defer func() {
 			if r := recover(); r != nil {
 				if _, killed := r.(killedSentinel); !killed {
@@ -159,15 +159,27 @@ func (t *T) run() {
 		}()
 		t.flush()
 		t.req = request{kind: reqExit}
-		t.toEngine <- struct{}{}
+		t.eng.pass(t.eng.turn(t))
 	}()
 	t.body(t)
 }
 
-// call hands the prepared request to the engine and parks until
-// resumed.
+// call performs the prepared request. The thread holds the baton, so
+// it handles the request itself and runs the engine loop to the next
+// step: a repeat step of this thread just returns; otherwise the baton
+// goes to the next thread (or back to Run) and this goroutine parks
+// until its next step.
 func (t *T) call() {
-	t.toEngine <- struct{}{}
+	if t.die {
+		// A body's deferred call during teardown unwinding must not
+		// touch the engine again.
+		panic(killedSentinel{})
+	}
+	next := t.eng.turn(t)
+	if next == t {
+		return
+	}
+	t.eng.pass(next)
 	<-t.toThread
 	if t.die {
 		// Teardown: unwind this coroutine; recovered by the body wrapper.
@@ -175,16 +187,8 @@ func (t *T) call() {
 	}
 }
 
-// resume restarts the parked thread and waits for its next request.
-// Called only by the engine.
-func (t *T) resume() *request {
-	t.toThread <- struct{}{}
-	<-t.toEngine
-	return &t.req
-}
-
 // kill unwinds a parked (or not-yet-started) thread goroutine. Called
-// only by the engine during teardown.
+// only by Run during teardown.
 func (t *T) kill() {
 	t.die = true
 	t.toThread <- struct{}{}

@@ -16,11 +16,11 @@ package rt
 // counter, so goldens are identical with it armed.
 //
 // Limitation, by design: a thread body stuck inside host code (an
-// infinite Go loop that never issues an engine request) freezes the
-// engine goroutine in the coroutine rendezvous, where no flag check
-// runs. Only the step-spinning class of stalls is recoverable from
-// inside the process; the chaos harness's external kill covers the
-// rest.
+// infinite Go loop that never issues an engine request) holds the run
+// loop's baton forever, so no goroutine reaches a flag check and Run
+// waits for a baton that never comes back. Only the step-spinning
+// class of stalls is recoverable from inside the process; the chaos
+// harness's external kill covers the rest.
 
 import (
 	"fmt"

@@ -972,7 +972,7 @@ func (s *Server) persistSession(sess *Session) {
 	_ = s.persistManifest(sess)
 }
 
-// engineExited is the tail of every engine goroutine: classify the
+// engineExited is the tail of every session goroutine: classify the
 // exit, persist, free the live slot, answer whoever is waiting.
 func (s *Server) engineExited(le *liveEngine, res *Result, completed bool, runErr error) {
 	sess := le.sess

@@ -261,9 +261,6 @@ func TestAdmission(t *testing.T) {
 		if _, err := s.Step(ctx, a.ID, 1); err != nil {
 			t.Fatalf("step a: %v", err)
 		}
-		// a's engine is parked at its gate. Pretend it is mid-step: a
-		// busy engine must never be chosen as an eviction victim, so b
-		// gets backpressure instead.
 		sessA, _ := s.lookup(a.ID)
 		sessA.mu.Lock()
 		leA := sessA.live
@@ -271,6 +268,13 @@ func TestAdmission(t *testing.T) {
 		if leA == nil {
 			t.Fatal("session a has no resident engine after a step")
 		}
+		// Step returns only once a's engine is parked at its gate,
+		// never while it still reads busy.
+		if got := leA.phase.Load(); got != engineParked {
+			t.Fatalf("after Step, a's engine phase = %d, want parked (%d)", got, engineParked)
+		}
+		// Pretend it is mid-step: a busy engine must never be chosen as
+		// an eviction victim, so b gets backpressure instead.
 		leA.phase.Store(engineBusy)
 		_, err := s.Step(ctx, b.ID, 1)
 		var over *OverloadError

@@ -82,10 +82,12 @@ type SessionConfig struct {
 	Topology string `json:"topology,omitempty"`
 	// DisableAnnotations runs the annotation ablation.
 	DisableAnnotations bool `json:"no_annotations,omitempty"`
-	// PanicAtBoundary injects a panic on the engine goroutine when the
-	// session crosses its Nth quantum boundary — the chaos probe behind
-	// the crash-isolation gate. Admitted only when the server runs with
-	// chaos enabled.
+	// PanicAtBoundary injects a panic in the engine's checkpoint
+	// callback when the session crosses its Nth quantum boundary — the
+	// chaos probe behind the crash-isolation gate. The panic happens on
+	// whichever thread goroutine holds the run loop; rt.Engine.Run
+	// re-raises it on the session goroutine. Admitted only when the
+	// server runs with chaos enabled.
 	PanicAtBoundary uint64 `json:"panic_at_boundary,omitempty"`
 	// Obs selects the engine observability level: "off", "metrics" or
 	// "trace" (empty = the server's -session-obs default). Trace-level
@@ -303,7 +305,7 @@ func (sess *Session) lockStep(ctx context.Context) error {
 func (sess *Session) unlockStep() { <-sess.stepMu }
 
 // noteBoundary records one crossed quantum boundary; called from the
-// engine goroutine.
+// engine's checkpoint callback.
 func (sess *Session) noteBoundary(st *snapshot.State) uint64 {
 	sess.mu.Lock()
 	sess.snap = st
@@ -377,7 +379,7 @@ func (sess *Session) info() Info {
 // through rt.Engine.Run wrapped, hence errors.Is below.
 var errEvictRequested = errors.New("server: evict requested at boundary")
 
-// grant hands one step's budget to the engine goroutine. quanta == 0
+// grant hands one step's budget to the session's engine. quanta == 0
 // means run to completion. outcome is buffered so the engine never
 // blocks answering a handler that already gave up.
 type grant struct {
@@ -404,9 +406,13 @@ type stepOutcome struct {
 	remaining uint64
 }
 
-// liveEngine is a resident engine: one goroutine running (or parked
-// inside) rt.Engine.Run, controlled through the checkpoint-boundary
-// gate. All fields below the channels belong to the engine goroutine.
+// liveEngine is a resident engine: one session goroutine (loop)
+// calling rt.Engine.Run, controlled through the checkpoint-boundary
+// gate. Inside Run the engine code — onBoundary included — runs on
+// whichever thread goroutine holds the run loop, one at a time, with a
+// channel handoff between them; the session goroutine waits in Run.
+// All fields below the channels belong to the engine: the session
+// goroutine outside Run, the loop's holder inside it.
 type liveEngine struct {
 	srv  *Server
 	sess *Session
@@ -416,7 +422,7 @@ type liveEngine struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	// phase is the engine's claim state. Transitions are CAS-only in
-	// the directions that race: the engine goroutine takes
+	// the directions that race: the engine takes
 	// parked→busy when it accepts a grant, and an evictor takes
 	// parked→evicting to reserve a victim. Exactly one wins, so a
 	// pressure eviction can never land on an engine that has started
@@ -430,8 +436,8 @@ type liveEngine struct {
 	unlimited    bool
 	holdingToken bool
 	// obsv is the session's engine observer (nil when the session's
-	// obs level is off). Its rings are single-writer state of this
-	// goroutine; the rest of the server only sees events after
+	// obs level is off). Its rings are single-writer state of the
+	// engine; the rest of the server only sees events after
 	// publishObs copies them into the session's obsLog.
 	obsv *obs.Observer
 	// runStart is the wall clock at compute-token acquisition for the
@@ -465,10 +471,12 @@ func newLiveEngine(s *Server, sess *Session) *liveEngine {
 // (immediately if parked). Idempotent.
 func (le *liveEngine) requestStop() { le.stopOnce.Do(func() { close(le.stop) }) }
 
-// loop is the engine goroutine. Any panic — an injected chaos panic, a
+// loop is the session goroutine. Any panic — an injected chaos panic, a
 // workload bug, an engine invariant violation — is recovered HERE, so
 // it fails exactly this session while the server and every other
-// session keep running.
+// session keep running. Engine code panics on a thread goroutine;
+// rt.Engine.Run re-raises it here as an *rt.EnginePanic carrying the
+// stack of the goroutine where it happened.
 func (le *liveEngine) loop() {
 	var (
 		runErr    error
@@ -479,7 +487,11 @@ func (le *liveEngine) loop() {
 		defer func() {
 			if r := recover(); r != nil {
 				le.srv.met.panicsRecovered.Add(le.srv.shard(le.sess.ID), 1)
-				runErr = fmt.Errorf("session panicked: %v\n\n%s", r, debug.Stack())
+				stack := debug.Stack()
+				if ep, ok := r.(*rt.EnginePanic); ok {
+					stack = ep.Stack
+				}
+				runErr = fmt.Errorf("session panicked: %v\n\n%s", r, stack)
 				completed = false
 			}
 		}()
@@ -497,8 +509,10 @@ func (le *liveEngine) loop() {
 // publishObs drains the observer's stream ring into the session's
 // obsLog, past the log's cursor. Events the ring already overwrote are
 // skipped — the seq discontinuity is the durable record of the loss.
-// Must run on the engine goroutine (the ring is single-writer, and
-// draining between emissions is only safe from the writer's side).
+// Must run as engine code — inside a checkpoint callback, or on the
+// session goroutine once Run has returned — since the ring is
+// single-writer and draining between emissions is only safe from the
+// writer's side.
 func (le *liveEngine) publishObs() {
 	r := le.obsv.Stream()
 	if r == nil {
@@ -631,6 +645,12 @@ func (le *liveEngine) onBoundary(st *snapshot.State) error {
 		le.credit--
 		if le.credit == 0 {
 			le.endRunSpan()
+			// Re-park and give the compute token back BEFORE answering:
+			// a Step that returns must find its engine evictable and
+			// its token free. The CAS never overwrites an evictor's
+			// claim.
+			le.phase.CompareAndSwap(engineBusy, engineParked)
+			le.releaseToken()
 			le.answerCurrent(le.sess.snapshotOutcome())
 			if !le.waitGrant(le.eng) {
 				return errEvictRequested
@@ -646,17 +666,14 @@ func (le *liveEngine) onBoundary(st *snapshot.State) error {
 	return nil
 }
 
-// waitGrant parks the engine goroutine until the next grant arrives,
-// acquiring a compute token before returning true; false means
-// eviction/shutdown was requested. While parked (and while queued for
-// a token) it heartbeats the engine's stall watchdog: a gated session
-// is idle, not stalled.
+// waitGrant blocks the engine — the session goroutine before Run, or
+// inside onBoundary the thread goroutine holding the run loop — until
+// the next grant arrives, acquiring a compute token before returning
+// true; false means eviction/shutdown was requested. The caller has
+// already re-parked the engine and released its token. While parked
+// (and while queued for a token) it heartbeats the engine's stall
+// watchdog: a gated session is idle, not stalled.
 func (le *liveEngine) waitGrant(e *rt.Engine) bool {
-	// Re-park with a CAS so an evictor's claim is never overwritten;
-	// on the first call the engine is already parked and this is a
-	// no-op either way.
-	le.phase.CompareAndSwap(engineBusy, engineParked)
-	le.releaseToken()
 	tick := time.NewTicker(le.srv.cfg.heartbeatEvery())
 	defer tick.Stop()
 	for {

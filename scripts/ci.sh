@@ -20,14 +20,16 @@ fi
 # gate PKG REGEX runs the named tests REGEX selects in PKG. It first
 # fails unless every |-separated alternative matches at least one test
 # that `go test -list` reports there, so a deleted or renamed test
-# cannot turn its gate into a silent "[no tests to run]" pass.
+# cannot turn its gate into a silent "[no tests to run]" pass. An
+# alternative naming a subtest (Test/sub) is checked by its top-level
+# part, the level `go test -list` can see.
 gate() {
-    listed=$(go test -list "$2" "$1" | grep -E '^(Test|Example|Fuzz)' || true)
+    listed=$(go test -list . "$1" | grep -E '^(Test|Example|Fuzz)' || true)
     set -f
     old_ifs=$IFS
     IFS='|'
     for alt in $2; do
-        printf '%s\n' "$listed" | grep -Eq -- "$alt" || {
+        printf '%s\n' "$listed" | grep -Eq -- "${alt%%/*}" || {
             echo "gate $1: no test matches '$alt'" >&2; exit 1; }
     done
     IFS=$old_ifs
@@ -82,6 +84,14 @@ gate ./internal/snapshot 'TestPayloadLayoutPinned|TestDiffNamesFirstDivergence|T
 gate ./internal/rt 'TestResumeDetectsDivergence'
 gate ./internal/server 'TestMigrateEnvelopeCarriesReceipt|TestVerifySnapshotMatchesConfigRecord'
 
+# Baton gates: the run loop passes between thread goroutines — one
+# goroutine switch per change of thread and none for a repeat step,
+# engine panics re-raised on Run's caller, no goroutine left behind on
+# any exit path — and Step returns only once its engine is re-parked
+# (the admission race behind a spurious overload).
+gate ./internal/rt 'TestBatonComputeOnlyOneHandoff|TestBatonYieldPingPong|TestBatonHandoffsBoundedBySteps|TestBatonCheckpointPanicReachesCaller|TestBatonThreadPanicStillAnError|TestBatonLeavesNoGoroutines'
+gate ./internal/server 'TestAdmission/lru_eviction_and_busy_overload'
+
 # Crash-safety gates: the in-process differential atsimd's eviction,
 # restart and migration rest on (resume from any checkpoint reproduces
 # the uninterrupted run bit for bit, with telemetry and under counter
@@ -115,7 +125,7 @@ scripts/soak.sh migrate 30
 # numbers are host-specific; run it on the baseline host before
 # cutting a release.
 if [ "${BENCH_GATE:-}" = 1 ]; then
-    baseline=$(git ls-files 'BENCH_*.json' | sort | tail -1)
+    baseline=$(git ls-files 'BENCH_*.json' | LC_ALL=C sort | tail -1)
     [ -n "$baseline" ] || { echo "BENCH_GATE=1 but no committed BENCH_*.json" >&2; exit 1; }
     git show "HEAD:$baseline" > /tmp/bench_baseline.$$.json
     scripts/bench.sh
