@@ -46,7 +46,6 @@ func main() {
 		maxMig       = flag.Int("max-migrations", 4, "max concurrent migrations per direction")
 		migTimeout   = flag.Duration("migrate-timeout", 20*time.Second, "per-phase migration deadline (also the per-attempt transfer bound)")
 		advertise    = flag.String("advertise", "", "this instance's own base URL, recorded as migrated_from provenance on sessions it hands off")
-		chaosMigKill = flag.String("chaos-migrate-kill", "", "chaos gate: SIGKILL this process when migration reaches the named phase point (e.g. source.intent, target.snapshot)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -79,20 +78,6 @@ func main() {
 	}
 	if *accessLog {
 		cfg.AccessLog = os.Stderr
-	}
-	if point := *chaosMigKill; point != "" {
-		cfg.CrashPoint = func(p string) error {
-			if p != point {
-				return nil
-			}
-			// Simulate a machine death at exactly this protocol point:
-			// SIGKILL gives the process no chance to clean up, which is
-			// the whole point of the chaos gate.
-			fmt.Fprintf(os.Stderr, "atsimd: chaos: SIGKILL at migration point %s\n", p)
-			syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			// SIGKILL delivery is asynchronous; block so no cleanup runs.
-			select {}
-		}
 	}
 	s, err := server.New(cfg)
 	if err != nil {

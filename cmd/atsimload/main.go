@@ -1,18 +1,7 @@
 // Command atsimload drives an atsimd server for load testing and for
-// the crash-safety gates in scripts/soak.sh and scripts/ci.sh. One
-// invocation runs one mode:
+// the real-process smoke in scripts/soak.sh. One invocation runs one
+// mode:
 //
-//	create   admit -n sessions and save their ids+configs to -state
-//	step     advance every session in -state by -quanta boundaries
-//	finish   run every session in -state to completion; write
-//	         "index fingerprint" lines to -out; any lost or failed
-//	         session fails the run
-//	control  create fresh twins of the -state sessions (same config,
-//	         same seed), run them to completion uninterrupted, write
-//	         the same "index fingerprint" format to -out
-//	chaos    verify crash isolation: a panic_at_boundary session must
-//	         fail alone while the server stays healthy and a clean
-//	         session completes
 //	load     create and complete -n sessions as fast as -c workers
 //	         allow; report throughput and latency percentiles (per
 //	         session, and per step when -quanta > 0 paces the
@@ -22,19 +11,10 @@
 //	wait     poll /readyz until the server answers (startup scripting)
 //	metrics  fetch /metrics and assert every -expect substring appears
 //	         (scrape gate for soak.sh, no curl/grep dependency)
-//	migrate  hand every session in -state off to the -target instance,
-//	         then assert the handoff contract: the source answers 410
-//	         Gone with a Location, a redirected step succeeds on the
-//	         target, and the target's /obs stream continues gap-free
-//	         from the source's cursor
 //
 // On a 410 Gone with a Location header (a session migrated away) the
 // client re-issues the request once at the new home — exactly once, so
 // a redirect loop cannot form.
-//
-// finish vs control is the service-level determinism gate: a session
-// that was stepped, evicted, SIGKILLed and resumed must fingerprint
-// identically to an uninterrupted twin.
 package main
 
 import (
@@ -60,30 +40,26 @@ import (
 
 func main() {
 	var (
-		serverURL  = flag.String("server", "http://127.0.0.1:8080", "atsimd base URL")
-		n          = flag.Int("n", 100, "session count (create, load)")
-		conc       = flag.Int("c", 16, "client concurrency")
-		statePath  = flag.String("state", "atsimload-state.json", "session state file (written by create, read by step/finish/control)")
-		outPath    = flag.String("out", "", "fingerprint output file (finish, control)")
-		quanta     = flag.Uint64("quanta", 1, "boundaries per step (step mode; when set explicitly, load mode paces each session in -quanta chunks and reports per-step latency)")
-		app        = flag.String("app", "tasks", "workload application")
-		policy     = flag.String("policy", "LFF", "scheduling policy")
-		cpus       = flag.Int("cpus", 2, "simulated CPUs")
-		scale      = flag.Float64("scale", 0.05, "workload scale")
-		quantum    = flag.Uint64("quantum", 100000, "session quantum in cycles")
-		seedBase   = flag.Uint64("seed-base", 1000, "session i uses seed seed-base+i")
-		tenant     = flag.String("tenant", "", "X-Tenant header value")
-		bestEffort = flag.Bool("best-effort", false, "step mode: ignore per-session errors (background traffic during kills)")
-		timeout    = flag.Duration("timeout", 2*time.Minute, "per-operation budget including retries")
-		sloP99     = flag.Duration("slo-p99", 0, "load mode: fail if p99 session latency exceeds this (0 = don't enforce)")
-		sloRate    = flag.Float64("slo-rate", 1.0, "load mode: fail if the success fraction drops below this")
-		summary    = flag.String("summary-json", "", "load mode: write the machine-readable run summary to this path")
-		expect     = flag.String("expect", "", "metrics mode: comma-separated substrings that must appear in /metrics")
-		target     = flag.String("target", "", "migrate mode: destination atsimd base URL")
+		serverURL = flag.String("server", "http://127.0.0.1:8080", "atsimd base URL")
+		n         = flag.Int("n", 100, "session count")
+		conc      = flag.Int("c", 16, "client concurrency")
+		quanta    = flag.Uint64("quanta", 0, "pace each session in steps of this many boundaries and report per-step latency (0 = one step to completion)")
+		app       = flag.String("app", "tasks", "workload application")
+		policy    = flag.String("policy", "LFF", "scheduling policy")
+		cpus      = flag.Int("cpus", 2, "simulated CPUs")
+		scale     = flag.Float64("scale", 0.05, "workload scale")
+		quantum   = flag.Uint64("quantum", 100000, "session quantum in cycles")
+		seedBase  = flag.Uint64("seed-base", 1000, "session i uses seed seed-base+i")
+		tenant    = flag.String("tenant", "", "X-Tenant header value")
+		timeout   = flag.Duration("timeout", 2*time.Minute, "per-operation budget including retries")
+		sloP99    = flag.Duration("slo-p99", 0, "fail if p99 session latency exceeds this (0 = don't enforce)")
+		sloRate   = flag.Float64("slo-rate", 1.0, "fail if the success fraction drops below this")
+		summary   = flag.String("summary-json", "", "write the machine-readable run summary to this path")
+		expect    = flag.String("expect", "", "metrics mode: comma-separated substrings that must appear in /metrics")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "atsimload: exactly one mode required: create | step | finish | control | chaos | load | wait | metrics | migrate")
+		fmt.Fprintln(os.Stderr, "atsimload: exactly one mode required: load | wait | metrics")
 		os.Exit(2)
 	}
 	cl := &client{base: *serverURL, hc: &http.Client{}, tenant: *tenant, opTimeout: *timeout}
@@ -92,32 +68,12 @@ func main() {
 	}
 	var err error
 	switch mode := flag.Arg(0); mode {
-	case "create":
-		err = runCreate(cl, *n, *conc, cfg, *seedBase, *statePath)
-	case "step":
-		err = runStep(cl, *statePath, *conc, *quanta, *bestEffort)
-	case "finish":
-		err = runFinish(cl, *statePath, *conc, *outPath)
-	case "control":
-		err = runControl(cl, *statePath, *conc, *outPath)
-	case "chaos":
-		err = runChaos(cl)
 	case "wait":
 		err = runWait(cl)
 	case "metrics":
 		err = runMetrics(cl, *expect)
-	case "migrate":
-		err = runMigrate(cl, *statePath, *conc, *target)
 	case "load":
-		// Chunked stepping is opt-in: only an explicit -quanta paces the
-		// load sessions (the flag's default 1 belongs to step mode).
-		loadQuanta := uint64(0)
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "quanta" {
-				loadQuanta = *quanta
-			}
-		})
-		err = runLoad(cl, *n, *conc, cfg, *seedBase, loadQuanta, *sloP99, *sloRate, *summary)
+		err = runLoad(cl, *n, *conc, cfg, *seedBase, *quanta, *sloP99, *sloRate, *summary)
 	default:
 		fmt.Fprintf(os.Stderr, "atsimload: unknown mode %q\n", mode)
 		os.Exit(2)
@@ -155,10 +111,7 @@ type httpError struct {
 func (e *httpError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.body) }
 
 func (c *client) do(method, path string, in, out any) error {
-	return c.doURL(method, c.base+path, in, out, true)
-}
-
-func (c *client) doURL(method, url string, in, out any, follow bool) error {
+	url, follow := c.base+path, true
 	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
 	defer cancel()
 	var reqBody []byte
@@ -266,7 +219,7 @@ func (c *client) once(ctx context.Context, method, url string, body []byte, out 
 }
 
 // raw fetches a path's body verbatim (for text endpoints like
-// /metrics and JSON served whole like /flight).
+// /metrics).
 func (c *client) raw(path string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
 	defer cancel()
@@ -298,161 +251,19 @@ func firstLine(s string) string {
 	return s
 }
 
-// stateFile records the sessions a create run admitted, so later modes
-// (and twin controls) can find them.
-type stateFile struct {
-	Server   string         `json:"server"`
-	Sessions []sessionEntry `json:"sessions"`
-}
-
-type sessionEntry struct {
-	ID     string               `json:"id"`
-	Config server.SessionConfig `json:"config"`
-}
-
-func loadState(path string) (*stateFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var st stateFile
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &st, nil
-}
-
-func saveState(path string, st *stateFile) error {
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-func runCreate(cl *client, n, conc int, cfg server.SessionConfig, seedBase uint64, statePath string) error {
-	entries, err := parallel.Map(conc, n, func(i int) (sessionEntry, error) {
-		c := cfg
-		c.Seed = seedBase + uint64(i)
-		var info server.Info
-		if err := cl.do("POST", "/v1/sessions", c, &info); err != nil {
-			return sessionEntry{}, fmt.Errorf("creating session %d: %w", i, err)
-		}
-		return sessionEntry{ID: info.ID, Config: info.Config}, nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := saveState(statePath, &stateFile{Server: cl.base, Sessions: entries}); err != nil {
-		return err
-	}
-	fmt.Printf("atsimload: created %d sessions -> %s\n", n, statePath)
-	return nil
-}
-
 type stepReq struct {
 	Quanta uint64 `json:"quanta"`
 }
 
-func runStep(cl *client, statePath string, conc int, quanta uint64, bestEffort bool) error {
-	st, err := loadState(statePath)
-	if err != nil {
-		return err
-	}
-	var okCount, failCount atomicCounter
-	err = parallel.ForEach(conc, len(st.Sessions), func(i int) error {
-		var res server.StepResult
-		err := cl.do("POST", "/v1/sessions/"+st.Sessions[i].ID+"/step", stepReq{Quanta: quanta}, &res)
-		if err != nil {
-			failCount.inc()
-			if bestEffort {
-				return nil
-			}
-			return fmt.Errorf("stepping %s: %w", st.Sessions[i].ID, err)
-		}
-		okCount.inc()
-		return nil
-	})
-	fmt.Printf("atsimload: stepped %d sessions (%d errors)\n", okCount.get(), failCount.get())
-	return err
-}
-
-func runFinish(cl *client, statePath string, conc int, outPath string) error {
-	st, err := loadState(statePath)
-	if err != nil {
-		return err
-	}
-	fps, err := completeAll(cl, conc, len(st.Sessions), func(i int) (string, error) {
-		return finishSession(cl, st.Sessions[i].ID)
-	})
-	if err != nil {
-		return err
-	}
-	return writeFingerprints(outPath, fps)
-}
-
-func runControl(cl *client, statePath string, conc int, outPath string) error {
-	st, err := loadState(statePath)
-	if err != nil {
-		return err
-	}
-	fps, err := completeAll(cl, conc, len(st.Sessions), func(i int) (string, error) {
-		var info server.Info
-		if err := cl.do("POST", "/v1/sessions", st.Sessions[i].Config, &info); err != nil {
-			return "", fmt.Errorf("creating control twin %d: %w", i, err)
-		}
-		fp, err := finishSession(cl, info.ID)
-		if err != nil {
-			return "", err
-		}
-		// Delete the twin so control runs don't accumulate sessions.
-		cl.do("DELETE", "/v1/sessions/"+info.ID, nil, nil)
-		return fp, nil
-	})
-	if err != nil {
-		return err
-	}
-	return writeFingerprints(outPath, fps)
-}
-
-// finishSession runs one session to completion and returns its
-// fingerprint.
-func finishSession(cl *client, id string) (string, error) {
+// finishSession runs one session to completion.
+func finishSession(cl *client, id string) error {
 	var res server.StepResult
 	if err := cl.do("POST", "/v1/sessions/"+id+"/step", stepReq{Quanta: 0}, &res); err != nil {
-		return "", fmt.Errorf("finishing %s: %w", id, err)
+		return fmt.Errorf("finishing %s: %w", id, err)
 	}
 	if res.State != server.StateDone || res.Result == nil {
-		return "", fmt.Errorf("session %s finished in state %q (failure: %s)", id, res.State, res.Failure)
+		return fmt.Errorf("session %s finished in state %q (failure: %s)", id, res.State, res.Failure)
 	}
-	return res.Result.Fingerprint, nil
-}
-
-func completeAll(cl *client, conc, n int, one func(i int) (string, error)) ([]string, error) {
-	return parallel.Map(conc, n, func(i int) (string, error) { return one(i) })
-}
-
-// writeFingerprints emits "index fingerprint" lines; two such files
-// from finish and control compare with cmp(1).
-func writeFingerprints(path string, fps []string) error {
-	var buf bytes.Buffer
-	for i, fp := range fps {
-		fmt.Fprintf(&buf, "%d %s\n", i, fp)
-	}
-	if path == "" || path == "-" {
-		_, err := os.Stdout.Write(buf.Bytes())
-		return err
-	}
-	if err := fsatomic.WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
-		return err
-	}); err != nil {
-		return err
-	}
-	fmt.Printf("atsimload: wrote %d fingerprints -> %s\n", len(fps), path)
 	return nil
 }
 
@@ -475,69 +286,6 @@ func runWait(cl *client) error {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-}
-
-// runChaos is the crash-isolation gate: one poisoned session must fail
-// alone — the server stays ready and a clean session still completes.
-func runChaos(cl *client) error {
-	// Obs is pinned to trace so the flight-record check below holds even
-	// against a server whose -session-obs default is lowered.
-	poison := server.SessionConfig{App: "tasks", Policy: "LFF", CPUs: 2, Scale: 0.05,
-		Seed: 7, Quantum: 100000, PanicAtBoundary: 1, Obs: "trace"}
-	var info server.Info
-	if err := cl.do("POST", "/v1/sessions", poison, &info); err != nil {
-		return fmt.Errorf("creating poisoned session: %w", err)
-	}
-	var res server.StepResult
-	err := cl.do("POST", "/v1/sessions/"+info.ID+"/step", stepReq{Quanta: 0}, &res)
-	var he *httpError
-	switch {
-	case err == nil && res.State == server.StateFailed:
-		// 2xx bodies never carry failed state (the server maps it to
-		// 409), but accept either shape.
-	case asHTTPError(err, &he) && he.status == http.StatusConflict:
-	default:
-		return fmt.Errorf("poisoned session: want failed state or HTTP 409, got res=%+v err=%v", res, err)
-	}
-	var got server.Info
-	if err := cl.do("GET", "/v1/sessions/"+info.ID, nil, &got); err != nil {
-		return fmt.Errorf("inspecting poisoned session: %w", err)
-	}
-	if got.State != server.StateFailed || got.Failure == "" {
-		return fmt.Errorf("poisoned session state %q, want failed with a diagnostic", got.State)
-	}
-	// The panic must have left a flight record: valid JSON, classified
-	// as a panic, holding the engine's final pre-panic events.
-	flight, err := cl.raw("/v1/sessions/" + info.ID + "/flight")
-	if err != nil {
-		return fmt.Errorf("fetching flight record of poisoned session: %w", err)
-	}
-	var fd struct {
-		Reason       string            `json:"reason"`
-		EngineEvents []json.RawMessage `json:"engine_events"`
-	}
-	if err := json.Unmarshal(flight, &fd); err != nil {
-		return fmt.Errorf("flight record does not parse: %w", err)
-	}
-	if fd.Reason != "panic" {
-		return fmt.Errorf("flight record reason %q, want panic", fd.Reason)
-	}
-	if len(fd.EngineEvents) == 0 {
-		return fmt.Errorf("flight record carries no engine events")
-	}
-	if err := cl.do("GET", "/readyz", nil, nil); err != nil {
-		return fmt.Errorf("server not ready after session panic: %w", err)
-	}
-	clean := poison
-	clean.PanicAtBoundary = 0
-	if err := cl.do("POST", "/v1/sessions", clean, &info); err != nil {
-		return fmt.Errorf("creating clean session after panic: %w", err)
-	}
-	if _, err := finishSession(cl, info.ID); err != nil {
-		return fmt.Errorf("clean session after panic: %w", err)
-	}
-	fmt.Println("atsimload: chaos gate passed: panic isolated, flight recorded, server healthy")
-	return nil
 }
 
 // percentiles summarizes a latency population (sorted in place).
@@ -591,8 +339,7 @@ func runLoad(cl *client, n, conc int, cfg server.SessionConfig, seedBase, stepQu
 	// -quanta-sized steps with each request's latency recorded.
 	completeOne := func(id string) error {
 		if stepQuanta == 0 {
-			_, err := finishSession(cl, id)
-			return err
+			return finishSession(cl, id)
 		}
 		for {
 			var res server.StepResult
@@ -709,133 +456,6 @@ func runMetrics(cl *client, expect string) error {
 			len(missing), wanted, strings.Join(missing, ", "))
 	}
 	fmt.Printf("atsimload: metrics: all %d expected series present\n", wanted)
-	return nil
-}
-
-// runMigrate hands every -state session off to -target and asserts the
-// full handoff contract per session:
-//
-//  1. the migrate call succeeds (410 Gone counts as "an earlier attempt
-//     already committed", which the chaos soak legitimately produces);
-//  2. the source answers a direct step with 410 Gone plus a Location;
-//  3. a step issued at the source succeeds after following that
-//     redirect once (exercising the client's follow-once path);
-//  4. the target's /obs stream resumes at the source's cursor with no
-//     gap line — migration must not lose or duplicate engine events.
-func runMigrate(cl *client, statePath string, conc int, target string) error {
-	if target == "" {
-		return fmt.Errorf("migrate mode needs -target")
-	}
-	target = strings.TrimRight(target, "/")
-	st, err := loadState(statePath)
-	if err != nil {
-		return err
-	}
-	tcl := &client{base: target, hc: cl.hc, tenant: cl.tenant, opTimeout: cl.opTimeout}
-	var moved atomicCounter
-	err = parallel.ForEach(conc, len(st.Sessions), func(i int) error {
-		id := st.Sessions[i].ID
-		cursor, err := obsCursor(cl, id)
-		if err != nil {
-			return fmt.Errorf("reading obs cursor of %s: %w", id, err)
-		}
-		var res server.MigrateResult
-		err = cl.doURL("POST", cl.base+"/v1/sessions/"+id+"/migrate",
-			map[string]string{"target": target}, &res, false)
-		var he *httpError
-		if asHTTPError(err, &he) && he.status == http.StatusGone {
-			err = nil // already on the target; the contract below still holds
-		}
-		if err != nil {
-			return fmt.Errorf("migrating %s: %w", id, err)
-		}
-		// 2: the source must fence the session.
-		ctx, cancel := context.WithTimeout(context.Background(), cl.opTimeout)
-		ferr := cl.once(ctx, "POST", cl.base+"/v1/sessions/"+id+"/step", []byte(`{"quanta":1}`), nil)
-		cancel()
-		if !asHTTPError(ferr, &he) || he.status != http.StatusGone || he.location == "" {
-			return fmt.Errorf("source did not fence migrated session %s with 410+Location: %v", id, ferr)
-		}
-		// 3: the same request through the redirect-following client.
-		var sres server.StepResult
-		if err := cl.do("POST", "/v1/sessions/"+id+"/step", stepReq{Quanta: 1}, &sres); err != nil {
-			return fmt.Errorf("redirected step of %s: %w", id, err)
-		}
-		// 4: engine events continue seamlessly on the target.
-		if err := checkObsContinuity(tcl, id, cursor); err != nil {
-			return err
-		}
-		moved.inc()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("atsimload: migrated %d sessions -> %s (fence, redirect and obs continuity verified)\n", moved.get(), target)
-	return nil
-}
-
-// obsLine is the slice of an /obs NDJSON line the migrate checks need.
-type obsLine struct {
-	Seq  uint64 `json:"seq"`
-	Kind string `json:"kind"`
-}
-
-func parseObsLines(data []byte) ([]obsLine, error) {
-	var out []obsLine
-	for _, raw := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		var l obsLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return nil, fmt.Errorf("bad /obs line %q: %w", raw, err)
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
-
-// obsCursor returns the newest published engine-event sequence number,
-// 0 when nothing has been published yet.
-func obsCursor(cl *client, id string) (uint64, error) {
-	data, err := cl.raw("/v1/sessions/" + id + "/obs")
-	if err != nil {
-		return 0, err
-	}
-	lines, err := parseObsLines(data)
-	if err != nil {
-		return 0, err
-	}
-	var cursor uint64
-	for _, l := range lines {
-		if l.Seq > cursor {
-			cursor = l.Seq
-		}
-	}
-	return cursor, nil
-}
-
-// checkObsContinuity asserts that the target's /obs stream picks up
-// exactly past the cursor: the first line is seq cursor+1 and no gap
-// records appear.
-func checkObsContinuity(tcl *client, id string, cursor uint64) error {
-	data, err := tcl.raw(fmt.Sprintf("/v1/sessions/%s/obs?after=%d", id, cursor))
-	if err != nil {
-		return fmt.Errorf("reading target obs of %s: %w", id, err)
-	}
-	lines, err := parseObsLines(data)
-	if err != nil {
-		return err
-	}
-	for _, l := range lines {
-		if l.Kind == "gap" {
-			return fmt.Errorf("session %s: target /obs reports a gap after migration (cursor %d)", id, cursor)
-		}
-	}
-	if len(lines) > 0 && lines[0].Seq != cursor+1 {
-		return fmt.Errorf("session %s: target /obs resumes at seq %d, want %d", id, lines[0].Seq, cursor+1)
-	}
 	return nil
 }
 

@@ -64,22 +64,3 @@ func TestFollowOnceOn410(t *testing.T) {
 		t.Fatalf("followed %d hops past the first redirect; want exactly 1", got)
 	}
 }
-
-// TestParseObsLines covers the NDJSON slice the migrate checks rely on.
-func TestParseObsLines(t *testing.T) {
-	data := []byte(`{"seq":1,"kind":"step"}
-{"seq":2,"kind":"step"}
-
-{"kind":"gap","dropped":3}
-`)
-	lines, err := parseObsLines(data)
-	if err != nil {
-		t.Fatalf("parseObsLines: %v", err)
-	}
-	if len(lines) != 3 || lines[1].Seq != 2 || lines[2].Kind != "gap" {
-		t.Fatalf("parsed %+v; want 3 lines ending in a gap", lines)
-	}
-	if _, err := parseObsLines([]byte("not json\n")); err == nil {
-		t.Fatal("malformed line parsed without error")
-	}
-}

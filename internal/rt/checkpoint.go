@@ -54,7 +54,9 @@ type CheckpointConfig struct {
 	// OnCheckpoint receives every checkpoint capture; it is the only
 	// destination (atsimd persists the receipt and parks the session
 	// there, a test collects it). Returning an error aborts the run.
-	// It must not call back into the engine.
+	// It must not call back into the engine, except for Boundaries.
+	// The stall watchdog's clock stops while it runs, so a host may
+	// park the engine here for as long as it likes.
 	OnCheckpoint func(*snapshot.State) error
 }
 
@@ -67,8 +69,12 @@ type ckptState struct {
 	// resume holds the snapshot awaiting fast-forward verification;
 	// nil once verified (or when not resuming). While non-nil no
 	// checkpoint is written: the boundaries being replayed were
-	// already written by the interrupted run.
+	// already written by the interrupted run. They are still counted
+	// in crossed, and move next, exactly as the interrupted run did.
 	resume *snapshot.State
+	// crossed counts the boundaries the run has crossed, replayed ones
+	// included.
+	crossed uint64
 }
 
 // initCheckpoint validates cfg against the engine under construction
@@ -104,9 +110,14 @@ func (e *Engine) initCheckpoint(cfg CheckpointConfig) error {
 		if err := snapshot.SameConfig(r.Config, c.config); err != nil {
 			return fmt.Errorf("rt: resume snapshot was written under another run config: %w", err)
 		}
+	}
+	// The first boundary is one interval in. A resumed run replays the
+	// interrupted run's boundaries (counting, not writing them), so it
+	// reaches the snapshot's cursor on the same schedule; a verify-only
+	// resume keeps no schedule and inherits the snapshot's.
+	c.next = c.every
+	if r := cfg.Resume; r != nil && c.every == 0 {
 		c.next = r.NextCheckpoint
-	} else {
-		c.next = c.every // first boundary one interval in
 	}
 	if c.every > 0 && c.onWrite == nil {
 		return fmt.Errorf("rt: checkpointing every %d cycles with no OnCheckpoint callback", c.every)
@@ -203,13 +214,27 @@ func (e *Engine) CaptureState() *snapshot.State {
 	return st
 }
 
-// writeCheckpoint advances the boundary cursor and hands the capture
-// to OnCheckpoint. Called from the run loop when e.now crosses the
+// Boundaries returns the number of checkpoint boundaries the run has
+// crossed, including those a resumed run replayed: at any boundary it
+// equals the count an uninterrupted run reports there. Valid inside
+// OnCheckpoint and once Run has returned.
+func (e *Engine) Boundaries() uint64 { return e.ckpt.crossed }
+
+// crossBoundary advances the boundary cursor and, unless the boundary
+// is being replayed toward a resume snapshot, hands the capture to
+// OnCheckpoint. Called from the run loop when e.now crosses the
 // pending boundary. The cursor moves first so the stored
 // NextCheckpoint names the boundary a resumed run must write next.
-func (e *Engine) writeCheckpoint() error {
+func (e *Engine) crossBoundary() error {
 	e.ckpt.next = (e.now/e.ckpt.every + 1) * e.ckpt.every
-	if err := e.ckpt.onWrite(e.CaptureState()); err != nil {
+	e.ckpt.crossed++
+	if e.ckpt.resume != nil {
+		return nil
+	}
+	e.wd.pause()
+	err := e.ckpt.onWrite(e.CaptureState())
+	e.wd.resume()
+	if err != nil {
 		return fmt.Errorf("rt: checkpoint callback at cycle %d: %w", e.now, err)
 	}
 	return nil

@@ -74,12 +74,6 @@ type Options struct {
 	// at_share coefficients with no user annotations. Usually combined
 	// with DisableAnnotations to schedule unannotated programs.
 	InferSharing bool
-	// DefaultCodeBytes is the size of the shared default code region a
-	// thread's dispatch touches (default 2048).
-	DefaultCodeBytes uint64
-	// Overhead configures the cycle and memory cost of the scheduler
-	// itself.
-	Overhead OverheadConfig
 	// Health tunes the counter-reading sanitizer and the quarantine
 	// state machine (see HealthConfig). The zero value selects the
 	// documented defaults; the sanitizer is always on, and is
@@ -210,10 +204,6 @@ func New(p platform.Platform, opts Options) (*Engine, error) {
 	if opts.ThresholdLines < 0 {
 		return nil, fmt.Errorf("rt: negative demotion threshold %v", opts.ThresholdLines)
 	}
-	if opts.DefaultCodeBytes == 0 {
-		opts.DefaultCodeBytes = 2048
-	}
-	opts.Overhead = opts.Overhead.withDefaults()
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 4e9
 	}
@@ -267,8 +257,8 @@ func New(p platform.Platform, opts Options) (*Engine, error) {
 	if err := e.initCheckpoint(opts.Checkpoint); err != nil {
 		return nil, err
 	}
-	e.overhead.init(p, opts.Overhead)
-	e.defaultCode = p.Alloc(opts.DefaultCodeBytes, 64)
+	e.overhead.init(p)
+	e.defaultCode = p.Alloc(defaultCodeBytes, 64)
 	if opts.InferSharing {
 		e.monitor = inference.NewMonitor(p.PageBytes())
 		p.SetMissHook(e.monitor.Touch)
@@ -457,13 +447,13 @@ func (e *Engine) next() *T {
 		if e.wd.tripped() {
 			return e.end(e.stallError())
 		}
-		if e.ckpt.resume != nil && e.steps == e.ckpt.resume.Steps {
-			if err := e.verifyResume(); err != nil {
+		if e.ckpt.every > 0 && e.now >= e.ckpt.next {
+			if err := e.crossBoundary(); err != nil {
 				return e.end(err)
 			}
 		}
-		if e.ckpt.every > 0 && e.ckpt.resume == nil && e.now >= e.ckpt.next {
-			if err := e.writeCheckpoint(); err != nil {
+		if e.ckpt.resume != nil && e.steps == e.ckpt.resume.Steps {
+			if err := e.verifyResume(); err != nil {
 				return e.end(err)
 			}
 		}
@@ -692,7 +682,7 @@ func (e *Engine) dispatch(p int, tid mem.ThreadID) {
 		// leave fossil coefficients behind.
 		e.monitor.Decay()
 	}
-	e.plat.AdvanceCycles(p, uint64(e.opts.Overhead.CtxSwitchCycles))
+	e.plat.AdvanceCycles(p, ctxSwitchCycles)
 	e.overhead.charge(e, p)
 	// A thread woken to retry a mutex may find that someone barged in
 	// while it travelled; it then re-blocks at the front of the queue
@@ -889,7 +879,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 			return
 		}
 		t.resp.r = e.plat.Alloc(req.size, req.align)
-		e.plat.Advance(p, uint64(e.opts.Overhead.AllocInstrs))
+		e.plat.Advance(p, allocInstrs)
 
 	case reqCreate:
 		child := e.newThread(req.body, SpawnOpts{Name: req.name, Code: req.code})
@@ -899,7 +889,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 		}
 		e.noteSpawned(child, e.cpus[p].Cycles(), p)
 		e.sched.NoteSpawn(child.id, p)
-		e.plat.Advance(p, uint64(e.opts.Overhead.CreateInstrs))
+		e.plat.Advance(p, createInstrs)
 		t.resp.tid = child.id
 		e.unparkAll(e.cpus[p].Cycles())
 
@@ -965,7 +955,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 
 	case reqLock:
 		mu := req.mu
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		// Barging semantics, like real mutexes: a running thread takes
 		// a free lock immediately even when woken waiters are still on
 		// their way back to a processor. This prevents lock convoys in
@@ -980,12 +970,12 @@ func (e *Engine) handle(p int, t *T, req *request) {
 		mu.waiters = append(mu.waiters, t)
 
 	case reqUnlock:
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		e.unlock(p, t, req.mu)
 
 	case reqSemWait:
 		s := req.sem
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		if s.value > 0 {
 			s.value--
 			return
@@ -997,7 +987,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 
 	case reqSemPost:
 		s := req.sem
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		if len(s.waiters) > 0 {
 			w := s.waiters[0]
 			s.waiters = s.waiters[1:]
@@ -1008,7 +998,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 
 	case reqBarrier:
 		b := req.bar
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		b.arrived++
 		if b.arrived == b.parties {
 			b.arrived = 0
@@ -1029,7 +1019,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 			e.fail(p, t, "CondWait without holding the mutex")
 			return
 		}
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		e.blockCurrent(p, t, obs.ReasonCond)
 		t.status = statusBlocked
 		t.blockedOn = "cond " + c.name
@@ -1037,11 +1027,11 @@ func (e *Engine) handle(p int, t *T, req *request) {
 		e.unlock(p, nil, mu) // owner already validated
 
 	case reqCondSignal:
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		e.signalOne(p, req.cond)
 
 	case reqCondBroadcast:
-		e.plat.Advance(p, uint64(e.opts.Overhead.SyncInstrs))
+		e.plat.Advance(p, syncInstrs)
 		for len(req.cond.waiters) > 0 {
 			e.signalOne(p, req.cond)
 		}

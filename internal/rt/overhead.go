@@ -2,96 +2,46 @@ package rt
 
 import (
 	"repro/internal/mem"
+	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
-// OverheadConfig models the cost of the runtime itself. The paper's
-// Section 5 measures this price directly: on a uniprocessor where FCFS
-// is already optimal (photo), the locality policies' heap maintenance
-// costs about 3% of runtime and 1% extra E-cache misses. Reproducing
-// that requires the scheduler to spend cycles *and* touch memory.
-type OverheadConfig struct {
-	// CtxSwitchCycles is the base context-switch latency (register
+// The cost of the runtime itself. The paper's Section 5 measures this
+// price directly: on a uniprocessor where FCFS is already optimal
+// (photo), the locality policies' heap maintenance costs about 3% of
+// runtime and 1% extra E-cache misses. Reproducing that requires the
+// scheduler to spend cycles *and* touch memory: scheduler
+// data-structure work issues real references against per-CPU heap
+// regions and the shared thread table, polluting the caches like the
+// real runtime does. The prices are calibrated constants.
+const (
+	// ctxSwitchCycles is the base context-switch latency (register
 	// save/restore, thread control block) charged per dispatch.
-	CtxSwitchCycles int
-	// HeapOpCycles is charged per binary-heap push/pop/fix/remove.
-	HeapOpCycles int
-	// PrioUpdateCycles is charged per priority update (a handful of
+	ctxSwitchCycles = 100
+	// heapOpCycles is charged per binary-heap push/pop/fix/remove.
+	heapOpCycles = 14
+	// prioUpdateCycles is charged per priority update (a handful of
 	// floating-point instructions, per Table 3).
-	PrioUpdateCycles int
-	// QueueOpCycles is charged per global-queue operation.
-	QueueOpCycles int
-	// StealCycles is charged per work-steal scan.
-	StealCycles int
-	// CreateInstrs, SyncInstrs, AllocInstrs price thread creation,
+	prioUpdateCycles = 4
+	// queueOpCycles is charged per global-queue operation.
+	queueOpCycles = 6
+	// stealCycles is charged per work-steal scan.
+	stealCycles = 40
+	// createInstrs, syncInstrs and allocInstrs price thread creation,
 	// synchronization fast paths and address-space allocation.
-	CreateInstrs int
-	SyncInstrs   int
-	AllocInstrs  int
-	// TouchMemory makes scheduler data-structure work issue real
-	// references against per-CPU heap regions and the shared thread
-	// table, polluting the caches like the real runtime does. Disable
-	// only in unit tests that need exact miss counts.
-	TouchMemory bool
-	// noTouchMemory is the internal normalized form (zero value of
-	// TouchMemory must mean "on" after withDefaults).
-	noTouchMemory bool
-}
-
-// DefaultOverhead returns the calibrated defaults.
-func DefaultOverhead() OverheadConfig {
-	return OverheadConfig{
-		CtxSwitchCycles:  100,
-		HeapOpCycles:     14,
-		PrioUpdateCycles: 4,
-		QueueOpCycles:    6,
-		StealCycles:      40,
-		CreateInstrs:     120,
-		SyncInstrs:       20,
-		AllocInstrs:      60,
-		TouchMemory:      true,
-	}
-}
-
-// withDefaults fills zero fields with the calibrated defaults. A fully
-// zero OverheadConfig becomes DefaultOverhead; setting any field keeps
-// the others at their defaults. TouchMemory=false in a non-zero config
-// is honoured via NoTouchMemory.
-func (o OverheadConfig) withDefaults() OverheadConfig {
-	d := DefaultOverhead()
-	if o == (OverheadConfig{}) {
-		return d
-	}
-	pick := func(v, def int) int {
-		if v == 0 {
-			return def
-		}
-		if v < 0 {
-			return 0 // explicit "free"
-		}
-		return v
-	}
-	o.CtxSwitchCycles = pick(o.CtxSwitchCycles, d.CtxSwitchCycles)
-	o.HeapOpCycles = pick(o.HeapOpCycles, d.HeapOpCycles)
-	o.PrioUpdateCycles = pick(o.PrioUpdateCycles, d.PrioUpdateCycles)
-	o.QueueOpCycles = pick(o.QueueOpCycles, d.QueueOpCycles)
-	o.StealCycles = pick(o.StealCycles, d.StealCycles)
-	o.CreateInstrs = pick(o.CreateInstrs, d.CreateInstrs)
-	o.SyncInstrs = pick(o.SyncInstrs, d.SyncInstrs)
-	o.AllocInstrs = pick(o.AllocInstrs, d.AllocInstrs)
-	if !o.TouchMemory {
-		o.noTouchMemory = true
-	}
-	o.TouchMemory = true
-	return o
-}
+	createInstrs = 120
+	syncInstrs   = 20
+	allocInstrs  = 60
+	// defaultCodeBytes is the size of the shared default code region a
+	// thread's dispatch touches.
+	defaultCodeBytes = 2048
+)
 
 // overheadState charges scheduler work to CPUs: cycles proportional to
 // the scheduler's data-structure operations since the last charge, plus
 // cache traffic against the runtime's own memory (per-CPU heap arrays
 // and the shared thread table).
 type overheadState struct {
-	cfg        OverheadConfig
 	lastOps    sched.Ops
 	heapRegion []mem.Range // per CPU
 	table      mem.Range   // shared thread table / global queue
@@ -99,20 +49,12 @@ type overheadState struct {
 	batch      mem.Batch   // scratch, reused across charges (25 cap max)
 }
 
-func (s *overheadState) init(p platformAPI, cfg OverheadConfig) {
-	s.cfg = cfg
+func (s *overheadState) init(p platform.Platform) {
 	s.table = p.Alloc(16*1024, 64)
 	for i := 0; i < p.NCPU(); i++ {
 		s.heapRegion = append(s.heapRegion, p.Alloc(8*1024, 64))
 	}
 	s.rot = make([]uint64, p.NCPU())
-}
-
-// platformAPI is the slice of platform.Platform the overhead model
-// needs (an interface keeps overhead testable in isolation).
-type platformAPI interface {
-	Alloc(size, align uint64) mem.Range
-	NCPU() int
 }
 
 // charge prices the scheduler operations performed since the previous
@@ -131,15 +73,12 @@ func (s *overheadState) charge(e *Engine, p int) {
 	}
 	s.lastOps = ops
 
-	cycles := d.Total()*uint64(s.cfg.HeapOpCycles) +
-		d.QueueOps*uint64(s.cfg.QueueOpCycles) +
-		d.Steals*uint64(s.cfg.StealCycles) +
-		d.PrioUpdates*uint64(s.cfg.PrioUpdateCycles)
+	cycles := d.Total()*heapOpCycles +
+		d.QueueOps*queueOpCycles +
+		d.Steals*stealCycles +
+		d.PrioUpdates*prioUpdateCycles
 	if cycles > 0 {
 		e.plat.AdvanceCycles(p, cycles)
-	}
-	if s.cfg.noTouchMemory {
-		return
 	}
 
 	// Cache traffic: each heap operation walks a log-ish number of heap

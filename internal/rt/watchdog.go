@@ -19,13 +19,22 @@ package rt
 // infinite Go loop that never issues an engine request) holds the run
 // loop's baton forever, so no goroutine reaches a flag check and Run
 // waits for a baton that never comes back. Only the step-spinning
-// class of stalls is recoverable from inside the process; the chaos
-// harness's external kill covers the rest.
+// class of stalls is recoverable from inside the process; a body stuck
+// in host code needs the process killed, after which atsimd's restart
+// resumes every other session from its last boundary.
+//
+// The clock stops while the engine is inside OnCheckpoint: a host that
+// parks the engine there (atsimd's boundary gate holds an idle session
+// in the callback until its next step) is waiting, not stalled. Only
+// unpaused wall time counts toward the deadline; returning from the
+// callback is not progress, so a thread that computes forever still
+// trips the watchdog however often it crosses a boundary.
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,6 +48,10 @@ type watchdog struct {
 	progress atomic.Uint64
 	stalled  atomic.Bool
 	done     chan struct{}
+
+	mu        sync.Mutex
+	pausedAt  time.Time     // start of the current pause; zero while running
+	pausedFor time.Duration // total length of the pauses that ended
 }
 
 func newWatchdog(timeout time.Duration) *watchdog {
@@ -46,27 +59,42 @@ func newWatchdog(timeout time.Duration) *watchdog {
 }
 
 // start launches the sampling goroutine. A stall is declared when the
-// progress counter stays unchanged across a full timeout window (so
-// detection latency is between one and two timeouts).
+// progress counter stays unchanged for a full timeout of unpaused wall
+// time (so, with no pauses, detection latency is between one and two
+// timeouts).
 func (w *watchdog) start() {
 	go func() {
 		tick := time.NewTicker(w.timeout)
 		defer tick.Stop()
 		last := w.progress.Load()
+		since, sincePaused := time.Now(), w.paused(time.Now())
 		for {
 			select {
 			case <-w.done:
 				return
-			case <-tick.C:
-				cur := w.progress.Load()
-				if cur == last {
+			case now := <-tick.C:
+				if cur := w.progress.Load(); cur != last {
+					last, since, sincePaused = cur, now, w.paused(now)
+					continue
+				}
+				if now.Sub(since)-(w.paused(now)-sincePaused) >= w.timeout {
 					w.stalled.Store(true)
 					return
 				}
-				last = cur
 			}
 		}
 	}()
+}
+
+// paused returns the total wall time spent paused up to now.
+func (w *watchdog) paused(now time.Time) time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	d := w.pausedFor
+	if !w.pausedAt.IsZero() && now.After(w.pausedAt) {
+		d += now.Sub(w.pausedAt)
+	}
+	return d
 }
 
 // stop terminates the sampling goroutine (idempotent per watchdog; the
@@ -82,18 +110,23 @@ func (w *watchdog) noteProgress() { w.progress.Add(1) }
 // off.
 func (w *watchdog) tripped() bool { return w != nil && w.stalled.Load() }
 
-// Heartbeat feeds the stall watchdog one unit of forward progress
-// without dispatching anything. It exists for host callbacks — a
-// session server's checkpoint gate — that intentionally park the
-// engine inside OnCheckpoint for longer than the stall timeout: an
-// idle gated session is waiting, not stalled, and must not trip the
-// watchdog. Call it from the blocked callback at a period shorter
-// than StallTimeout. Safe (and a no-op) when no watchdog is armed;
-// wall time never feeds the simulation, so heartbeats cannot perturb
-// a run.
-func (e *Engine) Heartbeat() {
-	if e.wd != nil {
-		e.wd.noteProgress()
+// pause stops the clock for a host callback and resume restarts it;
+// the paused time is subtracted from the deadline, not counted as
+// progress. Both are nil-safe.
+func (w *watchdog) pause() {
+	if w != nil {
+		w.mu.Lock()
+		w.pausedAt = time.Now()
+		w.mu.Unlock()
+	}
+}
+
+func (w *watchdog) resume() {
+	if w != nil {
+		w.mu.Lock()
+		w.pausedFor += time.Since(w.pausedAt)
+		w.pausedAt = time.Time{}
+		w.mu.Unlock()
 	}
 }
 

@@ -18,9 +18,24 @@ import (
 )
 
 func TestWatchdogCatchesStepSpin(t *testing.T) {
+	testWatchdogCatchesStepSpin(t, CheckpointConfig{})
+}
+
+// TestWatchdogCatchesStepSpinAcrossBoundaries: crossing a checkpoint
+// boundary pauses the clock but is not progress, so a spinner that
+// crosses one every thousand cycles is still caught.
+func TestWatchdogCatchesStepSpinAcrossBoundaries(t *testing.T) {
+	testWatchdogCatchesStepSpin(t, CheckpointConfig{
+		Every:        1000,
+		OnCheckpoint: func(*snapshot.State) error { return nil },
+	})
+}
+
+func testWatchdogCatchesStepSpin(t *testing.T, ck CheckpointConfig) {
 	o := obs.New(1, obs.Options{Level: obs.Trace})
 	e, err := New(sim.New(machine.New(machine.UltraSPARC1())),
-		Options{Policy: "FCFS", Seed: 1, StallTimeout: 25 * time.Millisecond, Obs: o})
+		Options{Policy: "FCFS", Seed: 1, StallTimeout: 25 * time.Millisecond, Obs: o,
+			Checkpoint: ck})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -35,7 +50,11 @@ func TestWatchdogCatchesStepSpin(t *testing.T) {
 	// A blocked bystander so the diagnostic dump has someone to list.
 	e.Spawn(func(th *T) { th.Sleep(1 << 40) }, SpawnOpts{Name: "sleeper"})
 
-	err = e.Run(context.Background())
+	// The deadline turns a watchdog that never trips into a failure
+	// instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = e.Run(ctx)
 	if err == nil {
 		t.Fatal("run of an infinite spinner returned nil")
 	}
@@ -92,6 +111,29 @@ func TestWatchdogSilentOnHealthyRun(t *testing.T) {
 	mustRun(t, bare)
 	if err := snapshot.Diff(bare.CaptureState(), e.CaptureState()); err != nil {
 		t.Errorf("watchdog perturbed the run: %v", err)
+	}
+}
+
+// TestWatchdogStopsWhileParked: a host that parks the engine inside
+// OnCheckpoint for several timeouts is waiting, not stalled.
+func TestWatchdogStopsWhileParked(t *testing.T) {
+	parks := 0
+	e, err := New(sim.New(machine.New(machine.Enterprise5000(2))),
+		Options{Policy: "LFF", Seed: 42, StallTimeout: 20 * time.Millisecond,
+			Checkpoint: CheckpointConfig{Every: 1000, OnCheckpoint: func(*snapshot.State) error {
+				if parks < 2 {
+					parks++
+					time.Sleep(100 * time.Millisecond)
+				}
+				return nil
+			}}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ckptWorkload(e)
+	mustRun(t, e)
+	if parks != 2 {
+		t.Fatalf("parked %d times, want 2 (workload crosses too few boundaries)", parks)
 	}
 }
 

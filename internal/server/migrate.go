@@ -80,17 +80,6 @@ type MigrateResult struct {
 	Cycle      uint64 `json:"cycle"`
 }
 
-// crash invokes the chaos hook at a named phase boundary. A non-nil
-// return means "the process just died here": callers propagate it
-// immediately, skipping all cleanup, so in-process tests observe
-// exactly the on-disk state a SIGKILL would leave.
-func (s *Server) crash(point string) error {
-	if s.cfg.CrashPoint == nil {
-		return nil
-	}
-	return s.cfg.CrashPoint(point)
-}
-
 // Migrate runs the full outbound handoff of session id to target.
 // Steps against the session serialize behind the same per-session step
 // lock, so clients stepping through the migration see 504/409/410 in

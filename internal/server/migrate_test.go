@@ -6,10 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,27 +23,33 @@ import (
 	"repro/internal/snapshot"
 )
 
-// The migration tests run a pair of instances the way soak.sh does —
-// real HTTP between them — but in-process, with the chaos gate's crash
-// points simulated by Config.CrashPoint instead of SIGKILL: the hook
-// returns an error that aborts all cleanup, and the test abandons the
-// Server exactly like TestKillRestoreIdentity abandons a killed one.
+// The migration tests run a pair of instances in-process with real
+// HTTP between them. A crash is the server's own fault seam: the
+// crashPoint hook refuses a named point, the instance goes inert
+// (nothing more reaches its data directory, its peer or its clients),
+// and the test boots a fresh Server over the same directory, as a
+// restart after SIGKILL would. TestCrashSchedules drives the same seam
+// from seeded scripts.
 
 var errSimCrash = errors.New("simulated crash")
 
 // node is one instance of the pair: a data directory that survives
-// "kills", the current Server over it, and a stable-URL HTTP front that
-// drops connections while the node is down — so the peer URL stays
-// valid across restarts, as a real host:port would.
+// crashes, the current Server over it, and a stable-URL HTTP front, so
+// the peer URL stays valid across restarts, as a real host:port would.
+// The front routes to the current incarnation and keeps a crashed one
+// silent: it drops every connection, the response in flight at the
+// crash included.
 type node struct {
 	t   *testing.T
 	dir string
 	ts  *httptest.Server
 
-	mu   sync.Mutex
-	srv  *Server
-	down bool
-	old  []*Server // abandoned incarnations, reaped at cleanup
+	mu  sync.Mutex
+	srv *Server
+	old []*Server // abandoned incarnations, reaped at cleanup
+	// front, when set, stands between the HTTP front and the current
+	// Server, so a test can drop or duplicate messages in flight.
+	front func(h http.Handler, w http.ResponseWriter, r *http.Request)
 }
 
 func newNode(t *testing.T, crash func(*node, string) error) *node {
@@ -66,25 +77,62 @@ func (n *node) url() string { return n.ts.URL }
 
 func (n *node) serve(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
-	srv, down := n.srv, n.down
+	srv, front := n.srv, n.front
 	n.mu.Unlock()
-	if down || srv == nil {
+	if srv == nil || srv.crashed.Load() {
 		panic(http.ErrAbortHandler) // connection drop, like a dead host
+	}
+	w = crashWriter{w, srv}
+	if front != nil {
+		front(srv.Handler(), w, r)
+		return
 	}
 	srv.Handler().ServeHTTP(w, r)
 }
 
-// boot starts a fresh Server over the node's directory. Tiny retry and
-// migrate budgets keep crash-path retries and recovery polls fast.
+// crashWriter drops the connection instead of writing once its Server
+// has crashed.
+type crashWriter struct {
+	http.ResponseWriter
+	srv *Server
+}
+
+func (w crashWriter) abortIfCrashed() {
+	if w.srv.crashed.Load() {
+		panic(http.ErrAbortHandler)
+	}
+}
+
+func (w crashWriter) WriteHeader(code int) {
+	w.abortIfCrashed()
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w crashWriter) Write(p []byte) (int, error) {
+	w.abortIfCrashed()
+	return w.ResponseWriter.Write(p)
+}
+
+func (w crashWriter) Flush() {
+	w.abortIfCrashed()
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// boot starts a fresh Server over the node's directory, abandoning the
+// current one as crashed. Tiny retry and migrate budgets keep
+// crash-path retries and recovery polls fast.
 func (n *node) boot(crash func(*node, string) error) {
 	n.t.Helper()
+	n.kill()
 	cfg := testConfig(n.dir)
 	cfg.PeerAllow = []string{"*"}
 	cfg.AdvertiseURL = n.url()
 	cfg.MigrateTimeout = 2 * time.Second
 	cfg.Retry = retry.Policy{Attempts: 3, Base: time.Millisecond, Cap: 4 * time.Millisecond}
 	if crash != nil {
-		cfg.CrashPoint = func(p string) error { return crash(n, p) }
+		cfg.crashPoint = func(p string) error { return crash(n, p) }
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -95,15 +143,17 @@ func (n *node) boot(crash func(*node, string) error) {
 		n.old = append(n.old, n.srv)
 	}
 	n.srv = s
-	n.down = false
 	n.mu.Unlock()
 }
 
-// kill abandons the current Server without shutdown and drops all
-// traffic, like SIGKILL would.
+// kill makes the current Server inert without shutdown, as if the
+// process had been SIGKILLed: it writes nothing more, sends nothing and
+// answers nothing.
 func (n *node) kill() {
 	n.mu.Lock()
-	n.down = true
+	if n.srv != nil {
+		n.srv.crashed.Store(true)
+	}
 	n.mu.Unlock()
 }
 
@@ -113,16 +163,13 @@ func (n *node) server() *Server {
 	return n.srv
 }
 
-// crashAndDie builds a CrashPoint hook that kills the node at the
-// named point: after it fires, the node drops connections until
-// rebooted — so retries and recovery queries see a dead peer, not a
-// live server that just errored once.
+// crashAndDie builds a crash hook that kills the node at the named
+// point.
 func crashAndDie(point string) func(*node, string) error {
 	return func(n *node, p string) error {
 		if p != point {
 			return nil
 		}
-		n.kill()
 		return fmt.Errorf("%w at %s", errSimCrash, p)
 	}
 }
@@ -210,6 +257,21 @@ func TestMigrateBasic(t *testing.T) {
 	fp := mustFinish(t, b.server(), info.ID).Result.Fingerprint
 	if want := controlFingerprint(t, b.server(), cfg); fp != want {
 		t.Errorf("migrated fingerprint %s != control twin %s", fp, want)
+	}
+
+	// The migration series on each side.
+	for _, c := range []struct {
+		s    *Server
+		name string
+	}{
+		{a.server(), "atsimd_migrations_started_total"},
+		{a.server(), "atsimd_migrations_committed_total"},
+		{a.server(), "atsimd_migration_seconds_count"},
+		{b.server(), "atsimd_migrations_in_total"},
+	} {
+		if got := counterTotal(t, c.s, c.name); got != 1 {
+			t.Errorf("%s = %d, want 1", c.name, got)
+		}
 	}
 
 	// Obs continuity: the target's stream picks up exactly past the
@@ -411,6 +473,121 @@ func TestMigrateFencing(t *testing.T) {
 	if _, err := b.server().acceptMigration(ctx, env); !errors.As(err, &fen) {
 		t.Fatalf("push of fenced epoch = %v; want FencedError", err)
 	}
+	// The source counted one attempt and one commit; the target one
+	// transfer in (the duplicate is not another) and one fenced push.
+	for _, c := range []struct {
+		s    *Server
+		name string
+	}{
+		{a.server(), "atsimd_migrations_started_total"},
+		{a.server(), "atsimd_migrations_committed_total"},
+		{a.server(), "atsimd_migration_seconds_count"},
+		{b.server(), "atsimd_migrations_in_total"},
+		{b.server(), "atsimd_migrations_fenced_total"},
+	} {
+		if got := counterTotal(t, c.s, c.name); got != 1 {
+			t.Errorf("%s = %d, want 1", c.name, got)
+		}
+	}
+}
+
+// TestCrashedInstanceIsInert: once its crash hook fires, an instance
+// is a dead process. Traffic that keeps arriving — a create, a step to
+// completion, evictions, a migration, a recovery round, a delete, HTTP
+// requests and even a drain — changes no file in its data directory
+// and sends its peer nothing.
+func TestCrashedInstanceIsInert(t *testing.T) {
+	var armed atomic.Bool
+	a := newNode(t, func(_ *node, p string) error {
+		if armed.Load() && p == "write.snap" {
+			return errSimCrash
+		}
+		return nil
+	})
+	b := newNode(t, nil)
+	var peerRequests atomic.Int64
+	b.front = func(h http.Handler, w http.ResponseWriter, r *http.Request) {
+		peerRequests.Add(1)
+		h.ServeHTTP(w, r)
+	}
+	ctx := context.Background()
+	s := a.server()
+	x := mustCreate(t, s, "", testSessionConfig(910))
+	y := mustCreate(t, s, "", testSessionConfig(911))
+	for _, id := range []string{x.ID, y.ID} {
+		if _, err := s.Step(ctx, id, 2); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+	}
+	if _, err := s.Evict(ctx, y.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	armed.Store(true)
+	s.Evict(ctx, x.ID)
+	if !s.crashed.Load() {
+		t.Fatal("the crash hook never fired")
+	}
+	before := dirState(t, a.dir)
+
+	if _, err := s.CreateSession(ctx, "", testSessionConfig(912)); err == nil {
+		t.Error("create on a crashed instance succeeded")
+	}
+	if res, err := s.Step(ctx, y.ID, 0); err != nil || res.State != StateDone {
+		t.Errorf("step to completion in memory = %+v, %v", res, err)
+	}
+	s.Evict(ctx, x.ID)
+	if _, err := s.Migrate(ctx, x.ID, b.url()); err == nil {
+		t.Error("migration from a crashed instance succeeded")
+	}
+	xs, err := s.lookup(x.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decided, _, _ := s.resolveOnce(xs, migrationIntent{ID: x.ID, Target: b.url(), Epoch: 9}); decided {
+		t.Error("a crashed instance settled a handoff with its peer")
+	}
+	if resp, err := http.Get(a.url() + "/v1/sessions"); err == nil {
+		resp.Body.Close()
+		t.Errorf("a crashed instance answered HTTP with %d", resp.StatusCode)
+	}
+	s.Delete(ctx, x.ID)
+	sctx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	s.Shutdown(sctx)
+
+	if after := dirState(t, a.dir); !maps.Equal(before, after) {
+		t.Errorf("a crashed instance changed its data directory:\nbefore %v\nafter  %v", keys(before), keys(after))
+	}
+	if n := peerRequests.Load(); n != 0 {
+		t.Errorf("a crashed instance sent its peer %d requests", n)
+	}
+}
+
+// dirState maps every file in dir to its contents.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestMigrateIDCollision: a transfer whose ID names an unrelated local
@@ -584,7 +761,7 @@ func TestMigrateKillTarget(t *testing.T) {
 // reclaimed after its epoch was fenced at the target must migrate
 // successfully on retry, carrying a strictly higher epoch. Without the
 // burn, the retry reuses the fenced epoch and every attempt is 409'd
-// forever (the loop the migrate soak's crash-at-intent round caught).
+// forever (a livelock the crash-at-source.intent case once caught).
 func TestMigrateReclaimThenRetry(t *testing.T) {
 	a := newNode(t, crashAndDie("source.intent"))
 	b := newNode(t, nil)

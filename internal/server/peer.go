@@ -24,6 +24,9 @@ type peerClient struct {
 	hc    *http.Client
 	pol   retry.Policy
 	allow []string
+	// inert reports that the instance's crash hook has fired; a dead
+	// instance sends nothing.
+	inert func() bool
 }
 
 func newPeerClient(cfg Config) *peerClient {
@@ -80,6 +83,9 @@ func (p *peerClient) push(ctx context.Context, target string, env *migrationEnve
 	}
 	var ack migrationAck
 	err = p.pol.DoWithAttempt(ctx, func(actx context.Context, attempt int) error {
+		if p.inert() {
+			return retry.Permanent(errCrashed)
+		}
 		if onAttempt != nil {
 			onAttempt(attempt)
 		}
@@ -132,6 +138,9 @@ func (p *peerClient) status(ctx context.Context, target, id string, epoch uint64
 	var reply migrationStatusReply
 	u := fmt.Sprintf("%s/v1/migrations/in/%s?epoch=%d", target, url.PathEscape(id), epoch)
 	err := p.pol.DoWithAttempt(ctx, func(actx context.Context, _ int) error {
+		if p.inert() {
+			return retry.Permanent(errCrashed)
+		}
 		req, err := http.NewRequestWithContext(actx, http.MethodGet, u, nil)
 		if err != nil {
 			return retry.Permanent(err)

@@ -51,8 +51,8 @@ type Config struct {
 	// 30s). A step that outlives it keeps executing server-side; only
 	// the response is abandoned.
 	RequestTimeout time.Duration
-	// StallTimeout arms each engine's stall watchdog (default 30s; the
-	// boundary gate heartbeats it while a session is parked).
+	// StallTimeout arms each engine's stall watchdog (default 30s; its
+	// clock stops while a session is parked at the boundary gate).
 	StallTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown before engines are
 	// hard-aborted (default 10s); used by callers of Shutdown.
@@ -101,24 +101,14 @@ type Config struct {
 	// AdvertiseURL is this instance's own base URL as peers should
 	// record it; purely provenance (migrated_from) when set.
 	AdvertiseURL string
-	// CrashPoint, when non-nil, is called at each named migration phase
+	// crashPoint, when non-nil, is the fault seam package tests drive
+	// (see Server.crash): called at each named migration phase
 	// boundary (source.prepared, source.intent, source.push,
-	// source.acked, source.committed, target.received, target.snapshot,
-	// target.manifest). A non-nil return simulates the process dying at
-	// that instant: the migration code abandons all cleanup and
-	// propagates the error, exactly as a SIGKILL would leave things.
-	// cmd/atsimd wires -chaos-migrate-kill to a real SIGKILL here.
-	CrashPoint func(point string) error
-}
-
-// heartbeatEvery paces watchdog heartbeats from parked engines: once a
-// second, or four times per StallTimeout when that is shorter, so a
-// parked session never looks stalled.
-func (c Config) heartbeatEvery() time.Duration {
-	if hb := c.StallTimeout / 4; hb > 0 && hb < time.Second {
-		return hb
-	}
-	return time.Second
+	// source.acked, source.committed, target.received,
+	// target.snapshot, target.manifest) and before every durable store
+	// mutation (write.*, remove.*, rename.*). A non-nil return
+	// simulates the process dying at that instant.
+	crashPoint func(point string) error
 }
 
 func (c Config) withDefaults() Config {
@@ -324,6 +314,10 @@ type Server struct {
 	fenceMu   sync.Mutex
 	migFences map[string]uint64
 
+	// crashed is set once crashPoint has fired: the instance is then
+	// inert, as a SIGKILLed process would be (see crash).
+	crashed atomic.Bool
+
 	mu        sync.Mutex
 	draining  bool
 	sessions  map[string]*Session
@@ -362,6 +356,8 @@ func New(cfg Config) (*Server, error) {
 		migLocks:  newIDLocks(),
 		migFences: make(map[string]uint64),
 	}
+	s.store.crash = s.crash
+	s.peer.inert = s.crashed.Load
 	s.initMetrics()
 	if err := s.restore(); err != nil {
 		cancel()
@@ -416,6 +412,33 @@ func (s *Server) initMetrics() {
 		migSeconds: s.reg.Histogram("atsimd_migration_seconds",
 			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30}),
 	}
+}
+
+// errCrashed is what every durable mutation and peer request of an
+// instance returns once its crash hook has fired.
+var errCrashed = errors.New("server: instance crashed (simulated)")
+
+// crash is the instance's one fault seam, passed at every named
+// migration phase boundary and before every durable store mutation.
+// When the crashPoint hook refuses a point, the process has "died"
+// there: crash returns the hook's error, and from then on returns
+// errCrashed for every point and every peer request fails before it is
+// sent (the test pair's HTTP front drops every connection to it).
+// Callers propagate the error, skipping cleanup; whatever else the
+// abandoned instance still does happens only in memory, so its data
+// directory holds exactly what a SIGKILL at that instant would leave.
+func (s *Server) crash(point string) error {
+	if s.crashed.Load() {
+		return errCrashed
+	}
+	if s.cfg.crashPoint == nil {
+		return nil
+	}
+	if err := s.cfg.crashPoint(point); err != nil {
+		s.crashed.Store(true)
+		return err
+	}
+	return nil
 }
 
 // shard maps a session ID onto a metrics shard so hot counters stay
@@ -966,10 +989,11 @@ func (s *Server) persistSession(sess *Session) {
 			}
 		}
 	}
-	if done {
+	// The done manifest goes first: a crash before it leaves the
+	// receipt to resume from, never a manifest without one.
+	if s.persistManifest(sess) == nil && done {
 		s.store.removeSnapshot(sess.ID)
 	}
-	_ = s.persistManifest(sess)
 }
 
 // engineExited is the tail of every session goroutine: classify the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -708,5 +709,148 @@ func TestKillRestoreIdentity(t *testing.T) {
 	twin := mustCreate(t, s2, "", testSessionConfig(901))
 	if want := mustFinish(t, s2, twin.ID).Result.Fingerprint; got != want {
 		t.Errorf("killed-and-restored fingerprint %s != twin %s", got, want)
+	}
+}
+
+// controlRun finishes an uninterrupted twin of cfg on a fresh server.
+func controlRun(t *testing.T, cfg SessionConfig) StepResult {
+	t.Helper()
+	s := newTestServer(t, nil)
+	return mustFinish(t, s, mustCreate(t, s, "", cfg).ID)
+}
+
+// TestBoundariesAfterStaleManifest: an eviction writes the receipt and
+// then the manifest, so a crash between the two restarts the session
+// from a receipt 3 boundaries ahead of its manifest's count. The
+// resumed session must still report the boundaries of an uninterrupted
+// run: the count comes from the engine, not from the manifest.
+func TestBoundariesAfterStaleManifest(t *testing.T) {
+	cfg := testSessionConfig(901)
+	var armed atomic.Bool
+	n := newNode(t, func(_ *node, p string) error {
+		if armed.Load() && p == "write.manifest" {
+			return errSimCrash
+		}
+		return nil
+	})
+	ctx := context.Background()
+	info := mustCreate(t, n.server(), "", cfg)
+	for _, armAfter := range []bool{false, true} {
+		if _, err := n.server().Step(ctx, info.ID, 3); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+		armed.Store(armAfter)
+		if _, err := n.server().Evict(ctx, info.ID); err != nil {
+			t.Fatalf("evict: %v", err)
+		}
+	}
+	n.boot(nil)
+	if got, _ := n.server().Get(info.ID); got.Boundaries != 3 {
+		t.Fatalf("restored manifest reports %d boundaries; the test needs the stale 3", got.Boundaries)
+	}
+	res := mustFinish(t, n.server(), info.ID)
+	want := controlRun(t, cfg)
+	if res.Boundaries != want.Boundaries || res.Result.Fingerprint != want.Result.Fingerprint {
+		t.Errorf("resumed over a stale manifest: %d boundaries, fingerprint %s; control twin %d, %s",
+			res.Boundaries, res.Result.Fingerprint, want.Boundaries, want.Result.Fingerprint)
+	}
+}
+
+// TestBoundariesAfterLostReceipt: a session whose receipt is gone
+// restarts from cycle zero. Its count must restart with it instead of
+// growing on top of the manifest's.
+func TestBoundariesAfterLostReceipt(t *testing.T) {
+	cfg := testSessionConfig(901)
+	n := newNode(t, nil)
+	ctx := context.Background()
+	info := mustCreate(t, n.server(), "", cfg)
+	for i := 0; i < 2; i++ {
+		if _, err := n.server().Step(ctx, info.ID, 3); err != nil {
+			t.Fatalf("step: %v", err)
+		}
+		if _, err := n.server().Evict(ctx, info.ID); err != nil {
+			t.Fatalf("evict: %v", err)
+		}
+	}
+	n.kill()
+	if err := os.Remove(n.server().store.snapPath(info.ID)); err != nil {
+		t.Fatalf("removing the receipt: %v", err)
+	}
+	n.boot(nil)
+	res := mustFinish(t, n.server(), info.ID)
+	want := controlRun(t, cfg)
+	if res.Boundaries != want.Boundaries || res.Result.Fingerprint != want.Result.Fingerprint {
+		t.Errorf("restarted without a receipt: %d boundaries, fingerprint %s; control twin %d, %s",
+			res.Boundaries, res.Result.Fingerprint, want.Boundaries, want.Result.Fingerprint)
+	}
+}
+
+// TestDoneReceiptSweptAtBoot: completion writes the done manifest and
+// then removes the receipt, so a crash between the two leaves a
+// receipt next to a done manifest. The next boot removes it.
+func TestDoneReceiptSweptAtBoot(t *testing.T) {
+	var armed atomic.Bool
+	n := newNode(t, func(_ *node, p string) error {
+		if armed.Load() && p == "remove.snap" {
+			return errSimCrash
+		}
+		return nil
+	})
+	ctx := context.Background()
+	info := mustCreate(t, n.server(), "", testSessionConfig(903))
+	if _, err := n.server().Step(ctx, info.ID, 2); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	if _, err := n.server().Evict(ctx, info.ID); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	armed.Store(true)
+	n.server().Step(ctx, info.ID, 0)
+	if !n.server().crashed.Load() {
+		t.Fatal("the crash hook never fired")
+	}
+	snap := n.server().store.snapPath(info.ID)
+	if _, err := os.Stat(snap); err != nil {
+		t.Fatalf("the crash left no receipt behind: %v", err)
+	}
+	n.boot(nil)
+	if got, err := n.server().Get(info.ID); err != nil || got.State != StateDone {
+		t.Fatalf("restored session = %+v, %v; want done", got, err)
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("receipt of a done session survived the boot: %v", err)
+	}
+}
+
+// TestParkedSessionOutlivesStallTimeout: a session parked at its
+// boundary gate, or queued there for a compute token, for several
+// stall timeouts is idle, not stalled. The watchdog's clock stops
+// while the engine waits in OnCheckpoint, so the session finishes
+// with its control fingerprint.
+func TestParkedSessionOutlivesStallTimeout(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	s := newTestServer(t, func(c *Config) { c.StallTimeout = stall; c.Workers = 1 })
+	ctx := context.Background()
+	cfg := testSessionConfig(902)
+	info := mustCreate(t, s, "", cfg)
+	if _, err := s.Step(ctx, info.ID, 2); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	time.Sleep(6 * stall) // parked at the gate
+	s.tokens <- struct{}{}
+	step := make(chan error, 1)
+	go func() {
+		_, err := s.Step(ctx, info.ID, 1)
+		step <- err
+	}()
+	time.Sleep(6 * stall) // granted, queued for the only token
+	<-s.tokens
+	if err := <-step; err != nil {
+		t.Fatalf("step after waiting for a token: %v", err)
+	}
+	time.Sleep(6 * stall)
+	res := mustFinish(t, s, info.ID)
+	if want := controlRun(t, cfg); res.Result.Fingerprint != want.Result.Fingerprint {
+		t.Errorf("parked session fingerprint %s != control %s", res.Result.Fingerprint, want.Result.Fingerprint)
 	}
 }

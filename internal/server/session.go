@@ -212,7 +212,7 @@ func (c SessionConfig) kv() []snapshot.KV {
 }
 
 // Result is a completed session's outcome. Fingerprint is the CRC64 of
-// the engine's complete final state — the equality the chaos gates
+// the engine's complete final state — the equality the crash tests
 // compare: a session stepped, evicted, resumed and crash-recovered any
 // number of times finishes with the same fingerprint as an
 // uninterrupted run of the same config.
@@ -304,19 +304,21 @@ func (sess *Session) lockStep(ctx context.Context) error {
 
 func (sess *Session) unlockStep() { <-sess.stepMu }
 
-// noteBoundary records one crossed quantum boundary; called from the
-// engine's checkpoint callback.
-func (sess *Session) noteBoundary(st *snapshot.State) uint64 {
+// noteBoundary records the boundary the engine just crossed, its
+// n-th; called from the engine's checkpoint callback. The count is the
+// engine's, not an increment of the manifest's: a resumed engine
+// counts the boundaries it replayed, so the session reports what an
+// uninterrupted run would even when a crash left the manifest out of
+// step with the receipt it resumed from.
+func (sess *Session) noteBoundary(st *snapshot.State, n uint64) {
 	sess.mu.Lock()
 	sess.snap = st
 	sess.onDisk = false
 	sess.gen++
-	sess.boundaries++
+	sess.boundaries = n
 	sess.cycle = st.Now
-	n := sess.boundaries
 	sess.mu.Unlock()
 	sess.events.push(Event{Kind: "boundary", Boundaries: n, Cycle: st.Now})
-	return n
 }
 
 // migrationGateLocked refuses writes against sessions that committed
@@ -551,7 +553,7 @@ func (le *liveEngine) endRunSpan() {
 // hard cancellation. It parks before doing ANY work: ensuring a
 // session live costs nothing until a step grants it credit.
 func (le *liveEngine) run() (res *Result, completed bool, err error) {
-	if !le.waitGrant(nil) {
+	if !le.waitGrant() {
 		return nil, false, nil
 	}
 	defer le.releaseToken()
@@ -605,6 +607,13 @@ func (le *liveEngine) run() (res *Result, completed bool, err error) {
 	}
 	app.Spawn(e, cfg.Scale)
 	err = e.Run(le.srv.baseCtx)
+	if !e.Resuming() {
+		// Past the resume point the engine's count is authoritative,
+		// also for a run that ends without crossing another boundary.
+		sess.mu.Lock()
+		sess.boundaries = e.Boundaries()
+		sess.mu.Unlock()
+	}
 	switch {
 	case err == nil:
 		refs, _, misses := m.Totals()
@@ -629,7 +638,8 @@ func (le *liveEngine) run() (res *Result, completed bool, err error) {
 // eviction). Returning errEvictRequested aborts Run with the session's
 // newest boundary state already delivered — eviction loses nothing.
 func (le *liveEngine) onBoundary(st *snapshot.State) error {
-	n := le.sess.noteBoundary(st)
+	n := le.eng.Boundaries()
+	le.sess.noteBoundary(st, n)
 	le.srv.met.boundaries.Add(le.srv.shard(le.sess.ID), 1)
 	// Publish BEFORE the chaos panic check: events up to this boundary
 	// are visible to followers and the flight recorder even when the
@@ -652,7 +662,7 @@ func (le *liveEngine) onBoundary(st *snapshot.State) error {
 			le.phase.CompareAndSwap(engineBusy, engineParked)
 			le.releaseToken()
 			le.answerCurrent(le.sess.snapshotOutcome())
-			if !le.waitGrant(le.eng) {
+			if !le.waitGrant() {
 				return errEvictRequested
 			}
 			return nil
@@ -670,45 +680,31 @@ func (le *liveEngine) onBoundary(st *snapshot.State) error {
 // inside onBoundary the thread goroutine holding the run loop — until
 // the next grant arrives, acquiring a compute token before returning
 // true; false means eviction/shutdown was requested. The caller has
-// already re-parked the engine and released its token. While parked
-// (and while queued for a token) it heartbeats the engine's stall
-// watchdog: a gated session is idle, not stalled.
-func (le *liveEngine) waitGrant(e *rt.Engine) bool {
-	tick := time.NewTicker(le.srv.cfg.heartbeatEvery())
-	defer tick.Stop()
-	for {
+// already re-parked the engine and released its token. The stall
+// watchdog's clock is stopped for as long as the engine waits here: a
+// gated session is idle, not stalled.
+func (le *liveEngine) waitGrant() bool {
+	select {
+	case <-le.stop:
+		return false
+	case g := <-le.grants:
+		le.current = g
+		le.credit = g.quanta
+		le.unlimited = g.quanta == 0
+		if !le.phase.CompareAndSwap(engineParked, engineBusy) {
+			// An evictor claimed this engine while it was parked.
+			// Unwind without executing; the exit path answers the
+			// grant with its budget intact so Step retries it
+			// against a resumed engine.
+			return false
+		}
 		select {
 		case <-le.stop:
 			return false
-		case g := <-le.grants:
-			le.current = g
-			le.credit = g.quanta
-			le.unlimited = g.quanta == 0
-			if !le.phase.CompareAndSwap(engineParked, engineBusy) {
-				// An evictor claimed this engine while it was parked.
-				// Unwind without executing; the exit path answers the
-				// grant with its budget intact so Step retries it
-				// against a resumed engine.
-				return false
-			}
-			for {
-				select {
-				case <-le.stop:
-					return false
-				case le.srv.tokens <- struct{}{}:
-					le.holdingToken = true
-					le.runStart = time.Now()
-					return true
-				case <-tick.C:
-					if e != nil {
-						e.Heartbeat()
-					}
-				}
-			}
-		case <-tick.C:
-			if e != nil {
-				e.Heartbeat()
-			}
+		case le.srv.tokens <- struct{}{}:
+			le.holdingToken = true
+			le.runStart = time.Now()
+			return true
 		}
 	}
 }

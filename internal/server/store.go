@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,9 +29,9 @@ import (
 //	             format), present only while the session has resumable
 //	             progress.
 //
-// Both are written atomically (internal/fsatomic; snapshot.WriteFile
-// already is), and every operation runs under internal/retry so a
-// transiently failing disk costs a short stall, not a lost session.
+// Both are written atomically (internal/fsatomic), and every
+// operation runs under internal/retry so a transiently failing disk
+// costs a short stall, not a lost session.
 // The manifest is written before a create is acknowledged, so a
 // SIGKILL at any instant loses at most unacknowledged sessions; any
 // in-memory progress lost with the process is recomputed
@@ -71,10 +72,16 @@ type migrationIntent struct {
 	Created string `json:"created,omitempty"`
 }
 
-// store performs all session IO.
+// store performs all session IO. Every durable mutation — an atomic
+// write, a remove, a quarantine rename — first passes crash, the
+// server's one fault seam (see Server.crash), under a point naming the
+// operation and the file's role: "write.snap", "remove.manifest",
+// "rename.intent" and so on. Once crash refuses, the store mutates
+// nothing more.
 type store struct {
-	dir string
-	pol retry.Policy
+	dir   string
+	pol   retry.Policy
+	crash func(point string) error
 }
 
 // ioTimeout bounds one retried operation end to end; store IO never
@@ -109,9 +116,25 @@ func (st *store) writeManifest(m manifest) error {
 	return st.writeFile(st.manifestPath(m.ID), data)
 }
 
+// fileKind names a data-directory file's role, for crash points.
+func fileKind(path string) string {
+	switch {
+	case strings.HasSuffix(path, ".intent.json"):
+		return "intent"
+	case strings.HasSuffix(path, ".flight.json"):
+		return "flight"
+	case strings.HasSuffix(path, ".json"):
+		return "manifest"
+	}
+	return "snap"
+}
+
 // writeFile atomically replaces path with data, retried under the
-// store's IO policy and timeout.
+// store's IO policy and timeout. It is the store's one write path.
 func (st *store) writeFile(path string, data []byte) error {
+	if err := st.crash("write." + fileKind(path)); err != nil {
+		return err
+	}
 	ctx, cancel := st.ioCtx()
 	defer cancel()
 	return retry.Do(ctx, st.policyFor(path), func() error {
@@ -122,21 +145,38 @@ func (st *store) writeFile(path string, data []byte) error {
 	})
 }
 
-func (st *store) loadManifest(path string) (manifest, error) {
-	var m manifest
+// remove deletes path. Best-effort: every caller tolerates a leftover
+// file, so a failure is not reported.
+func (st *store) remove(path string) {
+	if st.crash("remove."+fileKind(path)) == nil {
+		os.Remove(path)
+	}
+}
+
+// readFile returns path's bytes, retried under the store's IO policy;
+// a missing file fails at once with an error wrapping os.ErrNotExist.
+// It is the store's one read path.
+func (st *store) readFile(path string) ([]byte, error) {
+	var out []byte
 	ctx, cancel := st.ioCtx()
 	defer cancel()
 	err := retry.Do(ctx, st.policyFor(path), func() error {
 		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := json.Unmarshal(data, &m); err != nil {
-			// A corrupt manifest will not improve with retrying.
+		if errors.Is(err, os.ErrNotExist) {
 			return retry.Permanent(err)
 		}
-		return nil
+		out = data
+		return err
 	})
+	return out, err
+}
+
+func (st *store) loadManifest(path string) (manifest, error) {
+	var m manifest
+	data, err := st.readFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &m)
+	}
 	if err != nil {
 		return manifest{}, fmt.Errorf("server: loading manifest %s: %w", path, err)
 	}
@@ -144,40 +184,26 @@ func (st *store) loadManifest(path string) (manifest, error) {
 }
 
 func (st *store) writeSnapshot(id string, s *snapshot.State) error {
-	path := st.snapPath(id)
-	ctx, cancel := st.ioCtx()
-	defer cancel()
-	return retry.Do(ctx, st.policyFor(path), func() error {
-		return s.WriteFile(path)
-	})
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		return err
+	}
+	return st.writeFile(st.snapPath(id), buf.Bytes())
 }
 
 // loadSnapshot returns the session's snapshot, or (nil, nil) when none
 // exists — a session whose snapshot vanished restarts from cycle zero,
 // which is deterministic, just slower.
 func (st *store) loadSnapshot(id string) (*snapshot.State, error) {
-	path := st.snapPath(id)
-	var out *snapshot.State
-	ctx, cancel := st.ioCtx()
-	defer cancel()
-	err := retry.Do(ctx, st.policyFor(path), func() error {
-		s, err := snapshot.LoadFile(path)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return retry.Permanent(err)
-			}
-			return err
-		}
-		out = s
-		return nil
-	})
+	raw, err := st.readSnapshotRaw(id)
+	if raw == nil || err != nil {
+		return nil, err
+	}
+	s, err := snapshot.Load(bytes.NewReader(raw))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
 		return nil, fmt.Errorf("server: loading snapshot for %s: %w", id, err)
 	}
-	return out, nil
+	return s, nil
 }
 
 // readSnapshotRaw returns the session's snapshot file bytes verbatim —
@@ -186,28 +212,14 @@ func (st *store) loadSnapshot(id string) (*snapshot.State, error) {
 // re-encoding. (nil, nil) when the session has no snapshot (no progress
 // yet: the target starts it from cycle zero).
 func (st *store) readSnapshotRaw(id string) ([]byte, error) {
-	path := st.snapPath(id)
-	var out []byte
-	ctx, cancel := st.ioCtx()
-	defer cancel()
-	err := retry.Do(ctx, st.policyFor(path), func() error {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return retry.Permanent(err)
-			}
-			return err
-		}
-		out = data
-		return nil
-	})
+	data, err := st.readFile(st.snapPath(id))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
 		return nil, fmt.Errorf("server: reading snapshot for %s: %w", id, err)
 	}
-	return out, nil
+	return data, nil
 }
 
 // writeSnapshotRaw persists received snapshot bytes verbatim (the
@@ -219,16 +231,16 @@ func (st *store) writeSnapshotRaw(id string, data []byte) error {
 
 // removeSnapshot is best-effort cleanup (done sessions do not need
 // their snapshots); a leftover file is harmless.
-func (st *store) removeSnapshot(id string) {
-	os.Remove(st.snapPath(id))
-}
+func (st *store) removeSnapshot(id string) { st.remove(st.snapPath(id)) }
 
-// removeSession removes the session's files; used by delete.
+// removeSession removes the session's files; used by delete. The
+// manifest goes first — it is what makes the session exist on restart
+// — so a crash part-way leaves only files boot treats as orphans.
 func (st *store) removeSession(id string) {
-	os.Remove(st.snapPath(id))
-	os.Remove(st.manifestPath(id))
-	os.Remove(st.flightPath(id))
-	os.Remove(st.intentPath(id))
+	st.remove(st.manifestPath(id))
+	st.remove(st.snapPath(id))
+	st.remove(st.flightPath(id))
+	st.remove(st.intentPath(id))
 }
 
 // writeIntent durably records an outbound migration before the first
@@ -244,9 +256,7 @@ func (st *store) writeIntent(in migrationIntent) error {
 
 // removeIntent clears a resolved intent. Best-effort: a leftover file
 // only costs one extra resolution round on the next boot.
-func (st *store) removeIntent(id string) {
-	os.Remove(st.intentPath(id))
-}
+func (st *store) removeIntent(id string) { st.remove(st.intentPath(id)) }
 
 // scanIntents loads every migration intent in the data directory. A
 // corrupt intent is quarantined like a corrupt manifest — the session
@@ -263,7 +273,7 @@ func (st *store) scanIntents() (intents []migrationIntent, quarantined []string,
 			continue
 		}
 		path := filepath.Join(st.dir, e.Name())
-		data, rerr := os.ReadFile(path)
+		data, rerr := st.readFile(path)
 		if rerr != nil {
 			quarantined = append(quarantined, st.quarantine(path))
 			continue
@@ -292,7 +302,7 @@ func (st *store) writeFlight(id string, d flightDump) error {
 // loadFlight returns the raw flight record, or ErrNotFound when the
 // session never dumped one.
 func (st *store) loadFlight(id string) (json.RawMessage, error) {
-	data, err := os.ReadFile(st.flightPath(id))
+	data, err := st.readFile(st.flightPath(id))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNotFound
 	}
@@ -322,7 +332,7 @@ type restored struct {
 // Returns the file's final path (unchanged if the rename also failed).
 func (st *store) quarantine(path string) string {
 	q := path + ".corrupt"
-	if err := os.Rename(path, q); err != nil {
+	if st.crash("rename."+fileKind(path)) != nil || os.Rename(path, q) != nil {
 		return path
 	}
 	return q
@@ -339,8 +349,22 @@ func (st *store) scan(workers int) ([]restored, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: scanning %s: %w", st.dir, err)
 	}
+	names := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		names[e.Name()] = true
+	}
 	var paths []string
 	for _, e := range entries {
+		// A receipt or flight record whose manifest is gone belongs to
+		// a session whose delete was cut short (delete removes the
+		// manifest first). Left in place, it would attach to a later
+		// session that reuses the ID.
+		if id, ok := strings.CutSuffix(e.Name(), ".snap"); ok && !names[id+".json"] && !names[id+".json.corrupt"] {
+			st.remove(filepath.Join(st.dir, e.Name()))
+		}
+		if id, ok := strings.CutSuffix(e.Name(), ".flight.json"); ok && !names[id+".json"] && !names[id+".json.corrupt"] {
+			st.remove(filepath.Join(st.dir, e.Name()))
+		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
@@ -359,6 +383,12 @@ func (st *store) scan(workers int) ([]restored, error) {
 			return restored{quarantined: true, path: st.quarantine(paths[i]), err: err}, nil
 		}
 		_, statErr := os.Stat(st.snapPath(m.ID))
+		if statErr == nil && m.State == StateDone {
+			// Completion writes the done manifest before it removes the
+			// receipt; a crash between the two leaves one to sweep here.
+			st.removeSnapshot(m.ID)
+			statErr = os.ErrNotExist
+		}
 		return restored{man: m, hasSnap: statErr == nil}, nil
 	})
 }

@@ -285,7 +285,7 @@ func (s *State) Seal(c *Capture) {
 
 // Fingerprint is the CRC64 of the receipt's encoding — a compact
 // identity for "this exact state" (atsimd reports it as a session's
-// result, and the server and migration soaks compare it against
+// result, and the server's crash tests compare it against
 // uninterrupted control twins).
 func (s *State) Fingerprint() uint64 {
 	e := s.encode()

@@ -98,21 +98,24 @@ gate ./internal/server 'TestAdmission/lru_eviction_and_busy_overload'
 # faults) and capture purity (checkpointing never perturbs a run).
 gate ./internal/rt 'TestKillResume|TestCheckpointCaptureIsPure'
 
-# Service crash-safety gate: atsimd hosting 500 sessions, SIGKILLed
-# under live step traffic, restarted over the same data directory; a
-# chaos session must fail in isolation, every admitted session must
-# resume and fingerprint byte-identically to an uninterrupted control
-# twin, and a load smoke must meet its SLO before a clean SIGTERM
-# drain. See docs/SERVICE.md.
-scripts/soak.sh server 500
+# Service crash-safety gates, in process and replayable from a seed:
+# seeded crash schedules over the server's one fault seam (a crash at
+# any migration phase point or durable store mutation, a dropped or
+# duplicated migration response), each followed by a restart and the
+# invariant checks of docs/SERVICE.md; the two boundary-drift
+# regressions; a done session's leftover receipt swept at boot; a
+# session parked past its stall timeout, and a spinner caught although
+# it crosses checkpoint boundaries; an instance whose crash hook fired
+# staying inert; the phase-point kill matrix of a migration; and a
+# restart after an abandoned (killed) server.
+gate ./internal/server 'TestCrashSchedules|TestBoundariesAfterStaleManifest|TestBoundariesAfterLostReceipt|TestDoneReceiptSweptAtBoot|TestParkedSessionOutlivesStallTimeout|TestCrashedInstanceIsInert'
+gate ./internal/rt 'TestWatchdogCatchesStepSpinAcrossBoundaries|TestWatchdogStopsWhileParked'
+gate ./internal/server 'TestMigrateKillSource|TestMigrateKillTarget|TestKillRestoreIdentity'
 
-# Migration chaos gate: two atsimd instances, a SIGKILL of source or
-# target at every handoff phase boundary plus random mid-transfer
-# kills, then a bulk migration under live step traffic. Every session
-# must finish exactly once, byte-identical to its control twin, with
-# 410+Location fencing and a gap-free /obs stream across the handoff.
-# See the Migration section of docs/SERVICE.md.
-scripts/soak.sh migrate 30
+# Real-process smoke: the built atsimd under an atsimload SLO, a
+# metrics scrape, one SIGKILL with a restart and restored-count check,
+# and a clean SIGTERM drain. See docs/SERVICE.md.
+scripts/soak.sh
 
 # Overhead gate (opt-in: BENCH_GATE=1): re-run the benchmark sweep and
 # hard-fail if anything — most importantly BenchmarkObsOff, the
