@@ -209,8 +209,9 @@ func BenchmarkFig9_64CPU(b *testing.B) {
 
 // BenchmarkFig9SharedLLC runs the five-policy matrix (FCFS, LFF, CRT
 // and the shared-aware variants) on the shared-LLC topology at reduced
-// scale — the generic shared lookup path plus the machine-wide miss
-// clock, against BenchmarkFig9EightCPU's private fast lanes.
+// scale — the fused sweep with the shared L2's sharer upkeep plus the
+// machine-wide miss clock, against BenchmarkFig9EightCPU's private
+// machine.
 func BenchmarkFig9SharedLLC(b *testing.B) {
 	cfg := benchSched
 	cfg.Topology = "shared-llc"
@@ -288,7 +289,7 @@ func BenchmarkAppTSPLFF(b *testing.B)    { benchApp(b, "tsp", "LFF", 8) }
 
 // benchCheckpoint measures one tasks/LFF cell on 4 CPUs with and
 // without per-boundary checkpoints; the Off/On pair feeds the 2%
-// overhead gate in benchdiff.sh. Checkpoints go where atsimd sends
+// overhead gate in benchgate.sh. Checkpoints go where atsimd sends
 // them: OnCheckpoint writes each receipt atomically to a file
 // (capture is read-only, so the cost is sealing plus the atomic
 // write).

@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fsatomic"
@@ -110,6 +112,16 @@ type httpError struct {
 
 func (e *httpError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.body) }
 
+// errNoResponse marks a request that failed without any HTTP response
+// before its operation's budget ran out (the server is down or
+// unreachable). An operation whose retries run out on it wraps it, so
+// load can stop starting sessions against a dead server.
+var errNoResponse = errors.New("no response")
+
+// opRetry is the backoff of one operation's retries, within its
+// -timeout budget.
+var opRetry = retry.Policy{Attempts: 8, Base: 50 * time.Millisecond, Cap: 2 * time.Second}
+
 func (c *client) do(method, path string, in, out any) error {
 	url, follow := c.base+path, true
 	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
@@ -121,8 +133,7 @@ func (c *client) do(method, path string, in, out any) error {
 			return err
 		}
 	}
-	pol := retry.Policy{Attempts: 8, Base: 50 * time.Millisecond, Cap: 2 * time.Second}
-	delays := pol.Schedule()
+	delays := opRetry.Schedule()
 	attempt := 0
 	for {
 		err := c.once(ctx, method, url, reqBody, out)
@@ -164,7 +175,7 @@ func (c *client) do(method, path string, in, out any) error {
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return fmt.Errorf("%s %s: %w (last error: %v)", method, url, ctx.Err(), err)
+			return fmt.Errorf("%s %s: %w (last error: %w)", method, url, ctx.Err(), err)
 		case <-t.C:
 		}
 	}
@@ -195,6 +206,12 @@ func (c *client) once(ctx context.Context, method, url string, body []byte, out 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		if ctx.Err() == nil {
+			// The request failed by itself (refused, reset), not
+			// because the operation's budget ran out while a slow
+			// server was still working on it.
+			err = fmt.Errorf("%w: %w", errNoResponse, err)
+		}
 		return err
 	}
 	defer resp.Body.Close()
@@ -331,10 +348,19 @@ type loadSummary struct {
 func runLoad(cl *client, n, conc int, cfg server.SessionConfig, seedBase, stepQuanta uint64, sloP99 time.Duration, sloRate float64, summaryPath string) error {
 	latencies := make([]time.Duration, n)
 	var (
-		stepMu   sync.Mutex
-		stepLat  []time.Duration
-		failures atomicCounter
+		stepMu  sync.Mutex
+		stepLat []time.Duration
+		// down is set by the first operation that ran out of retries
+		// without any HTTP response: the server is gone, so the
+		// sessions not yet started fail at once instead of each
+		// burning a whole retry schedule.
+		down atomic.Bool
 	)
+	noteDown := func(err error) {
+		if errors.Is(err, errNoResponse) {
+			down.Store(true)
+		}
+	}
 	// completeOne runs one session to done: a single unlimited step, or
 	// -quanta-sized steps with each request's latency recorded.
 	completeOne := func(id string) error {
@@ -360,19 +386,22 @@ func runLoad(cl *client, n, conc int, cfg server.SessionConfig, seedBase, stepQu
 	}
 	start := time.Now()
 	parallel.ForEach(conc, n, func(i int) error {
+		if down.Load() {
+			return nil // counted failed: latencies[i] stays 0
+		}
 		t0 := time.Now()
 		c := cfg
 		c.Seed = seedBase + uint64(i)
 		var info server.Info
 		if err := cl.do("POST", "/v1/sessions", c, &info); err != nil {
-			failures.inc()
+			noteDown(err)
 			return nil
 		}
 		if err := completeOne(info.ID); err != nil {
-			failures.inc()
+			noteDown(err)
 			return nil
 		}
-		cl.do("DELETE", "/v1/sessions/"+info.ID, nil, nil)
+		noteDown(cl.do("DELETE", "/v1/sessions/"+info.ID, nil, nil))
 		latencies[i] = time.Since(t0)
 		return nil
 	})

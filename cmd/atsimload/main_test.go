@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // TestFollowOnceOn410 pins the client's migration-redirect behavior: a
@@ -62,5 +65,30 @@ func TestFollowOnceOn410(t *testing.T) {
 	}
 	if got := loopHits.Load(); got != 1 {
 		t.Fatalf("followed %d hops past the first redirect; want exactly 1", got)
+	}
+}
+
+// TestLoadStopsAgainstDeadServer pins that load gives up on a server
+// that answers nothing: after the first operation runs out of retries
+// without an HTTP response, no further session starts, so a large -n
+// fails its SLO within about one retry schedule instead of one
+// schedule per session.
+func TestLoadStopsAgainstDeadServer(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	var schedule time.Duration
+	for _, d := range opRetry.Schedule() {
+		schedule += d
+	}
+	cl := &client{base: dead.URL, hc: &http.Client{}, opTimeout: 2 * time.Minute}
+	t0 := time.Now()
+	err := runLoad(cl, 200, 4, server.SessionConfig{}, 0, 0, 0, 1.0, "")
+	elapsed := time.Since(t0)
+	if err == nil || !strings.Contains(err.Error(), "SLO violation") {
+		t.Fatalf("load against a dead server = %v; want an SLO violation", err)
+	}
+	if limit := schedule + schedule/2; elapsed > limit {
+		t.Fatalf("load against a dead server took %v; want under %v (one %v retry schedule)",
+			elapsed.Round(time.Millisecond), limit, schedule.Round(time.Millisecond))
 	}
 }

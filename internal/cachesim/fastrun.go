@@ -61,11 +61,14 @@ type SweepOutcome struct {
 	CleanMisses, RemoteMisses uint64
 }
 
-// FastData reports whether the hierarchy's data path runs on the
-// direct-mapped fast lanes (both data-side caches one-way and not
-// forced generic). Callers use it to gate SweepDM.
+// FastData reports whether SweepDM can carry the hierarchy's data
+// path: both data-side caches are one-way and not forced generic. That
+// holds for the private direct-mapped hierarchy and for shared-llc
+// (whose sweeps keep the shared L2's sharer sets at their L2
+// outcomes); the associative shared topologies fall back to
+// per-reference application.
 func (h *Hierarchy) FastData() bool {
-	return h.dmData && !h.L1D.forceGeneric && !h.L2.forceGeneric
+	return h.L1D.direct && h.L2.direct && !h.L1D.forceGeneric && !h.L2.forceGeneric
 }
 
 // SweepDM performs a whole positive-stride access (a.Stride > 0, any
@@ -84,12 +87,21 @@ func (h *Hierarchy) FastData() bool {
 // machine's page geometry; coherent gates the directory callbacks so
 // a uniprocessor sweep never virtual-calls.
 //
+// On a shared hierarchy the L2 is the one cache every CPU fills, and
+// its sharer sets are kept at the three L2 outcomes with the slot index
+// the probe already holds: a load hit joins the set (readHit), a store
+// hit invalidates the other sharers' L1 copies (storeHit), and a fill
+// invalidates the victim's span from all its sharers' L1s (filled).
+// Each runs once per L2-line span, which is exact because the
+// per-reference upkeep it stands for is idempotent within a span.
+//
 // Statistics, classifier shadow transitions, ownership, dirtiness,
 // victim and listener events are event-for-event identical to issuing
 // every reference through Data; both data-side caches must be
 // direct-mapped (FastData).
 func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageShift uint, coherent bool) SweepOutcome {
 	d, e := h.L1D, h.L2
+	sh, cpu := h.shared, h.cpu
 	ls := uint64(d.cfg.LineSize)
 	stride := uint64(a.Stride)
 	count := int(a.Count)
@@ -304,19 +316,17 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 								eHits++
 								out.L2HitRefs++
 							} else {
-								s2 := &e.slots[uint64(line2>>e.lineShift)&e.setMask]
-								if s2.flags&flagValid != 0 && s2.tag == line2 {
+								i2 := int(uint64(line2>>e.lineShift) & e.setMask)
+								if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
 									eHits++
 									out.L2HitRefs++
 									s2.owner = tid
+									if sh != nil {
+										sh.readHit(cpu, i2)
+									}
 								} else {
 									eMisses++
-									victim := e.fillMissedDM(s2, line2, tid, false, false)
-									if victim.Valid {
-										span := uint64(e.cfg.LineSize)
-										h.L1I.InvalidateSpan(victim.Line, span)
-										h.L1D.InvalidateSpan(victim.Line, span)
-									}
+									victim := h.fillL2Slot(i2, line2, tid, false)
 									if env.LineMiss(pva, line2, false, victim) {
 										out.RemoteMisses++
 									} else {
@@ -349,11 +359,13 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 							eHits += puk
 							out.L2HitRefs += puk
 						} else {
-							s2 := &e.slots[uint64(line2>>e.lineShift)&e.setMask]
-							if s2.flags&flagValid != 0 && s2.tag == line2 {
+							i2 := int(uint64(line2>>e.lineShift) & e.setMask)
+							if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
 								eHits += puk
 								out.L2HitRefs += puk
-								if s2.flags&flagShared != 0 {
+								if sh != nil {
+									sh.storeHit(cpu, i2, line2)
+								} else if s2.flags&flagShared != 0 {
 									s2.flags &^= flagShared
 									if coherent {
 										env.SharedStore(line2)
@@ -368,12 +380,7 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 								eMisses++
 								eHits += puk - 1
 								out.L2HitRefs += puk - 1
-								victim := e.fillMissedDM(s2, line2, tid, true, false)
-								if victim.Valid {
-									span := uint64(e.cfg.LineSize)
-									h.L1I.InvalidateSpan(victim.Line, span)
-									h.L1D.InvalidateSpan(victim.Line, span)
-								}
+								victim := h.fillL2Slot(i2, line2, tid, true)
 								if env.LineMiss(pva, line2, true, victim) {
 									out.RemoteMisses++
 								} else {
@@ -475,13 +482,16 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 						e.classify.touch(line2)
 					}
 				} else {
-					s2 := &e.slots[uint64(line2>>e.lineShift)&e.setMask]
-					if s2.flags&flagValid != 0 && s2.tag == line2 {
+					i2 := int(uint64(line2>>e.lineShift) & e.setMask)
+					if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
 						eHits++
 						out.L2HitRefs++
 						s2.owner = tid
 						if e.classify != nil {
 							e.classify.touch(line2)
+						}
+						if sh != nil {
+							sh.readHit(cpu, i2)
 						}
 					} else {
 						eMisses++
@@ -489,17 +499,12 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 							e.classify.classify(line2)
 							e.classify.touch(line2)
 						}
-						victim := e.fillMissedDM(s2, line2, tid, false, false)
-						if victim.Valid {
-							// Inclusion: invalidate the victim's span from
-							// both L1s BEFORE filling our line into L1D —
-							// the victim shares the L2 set with our line,
-							// so its L1D sublines occupy the very slots the
-							// fill below is about to claim.
-							span := uint64(e.cfg.LineSize)
-							h.L1I.InvalidateSpan(victim.Line, span)
-							h.L1D.InvalidateSpan(victim.Line, span)
-						}
+						// Inclusion invalidates the victim's span from
+						// the L1s BEFORE our line fills into L1D — the
+						// victim shares the L2 set with our line, so its
+						// L1D sublines occupy the very slots the fill
+						// below is about to claim.
+						victim := h.fillL2Slot(i2, line2, tid, false)
 						if env.LineMiss(va, line2, false, victim) {
 							out.RemoteMisses++
 						} else {
@@ -591,11 +596,16 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 				}
 				continue
 			}
-			s2 := &e.slots[uint64(line2>>e.lineShift)&e.setMask]
-			if s2.flags&flagValid != 0 && s2.tag == line2 {
+			i2 := int(uint64(line2>>e.lineShift) & e.setMask)
+			if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
 				eHits += uk
 				out.L2HitRefs += uk
-				if s2.flags&flagShared != 0 {
+				if sh != nil {
+					// Shared L2: the sharer set (not the shared mark,
+					// which a line held only by another CPU lacks)
+					// names the L1 copies to invalidate.
+					sh.storeHit(cpu, i2, line2)
+				} else if s2.flags&flagShared != 0 {
 					// Store to a line cached shared: clear the local mark
 					// and have the machine invalidate the other copies (the
 					// per-reference path does this before its probe; the
@@ -626,12 +636,7 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 					e.classify.classify(line2)
 					e.classify.touch(line2)
 				}
-				victim := e.fillMissedDM(s2, line2, tid, true, false)
-				if victim.Valid {
-					span := uint64(e.cfg.LineSize)
-					h.L1I.InvalidateSpan(victim.Line, span)
-					h.L1D.InvalidateSpan(victim.Line, span)
-				}
+				victim := h.fillL2Slot(i2, line2, tid, true)
 				if env.LineMiss(va, line2, true, victim) {
 					out.RemoteMisses++
 				} else {
@@ -648,6 +653,24 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 	e.stats.Hits += eHits
 	e.stats.Misses += eMisses
 	return out
+}
+
+// fillL2Slot fills line into the L2's direct-mapped slot i after the
+// sweep's probe missed it, and maintains inclusion: the displaced
+// victim's span leaves this CPU's L1s on a private hierarchy, and the
+// L1s of every recorded sharer on a shared one (where the filler then
+// becomes the line's sole sharer).
+func (h *Hierarchy) fillL2Slot(i int, line mem.Addr, tid mem.ThreadID, write bool) Victim {
+	e := h.L2
+	victim := e.fillMissedDM(&e.slots[i], line, tid, write, false)
+	if h.shared != nil {
+		h.shared.filled(h.cpu, i, victim)
+	} else if victim.Valid {
+		span := uint64(e.cfg.LineSize)
+		h.L1I.InvalidateSpan(victim.Line, span)
+		h.L1D.InvalidateSpan(victim.Line, span)
+	}
+	return victim
 }
 
 // fillMissedDM fills line into the probed slot s of a direct-mapped

@@ -71,10 +71,11 @@ func NewHierarchy(l1i, l1d, l2 Config) *Hierarchy {
 }
 
 // NewHierarchyShared builds cpu's view of a shared-L2 topology: private
-// split L1s in front of the one shared cache. The direct-mapped data
-// fast lanes stay disabled (dmData false) — cross-CPU sharer
-// maintenance needs the generic path — so FastData reports false and
-// the machine layer falls back to per-reference application.
+// split L1s in front of the one shared cache. Data keeps the generic
+// per-reference path (dmData false), which folds cross-CPU sharer
+// maintenance into dataShared; when the L1D and the shared L2 are both
+// one-way (shared-llc), FastData reports true and the machine layer
+// sweeps through SweepDM, which keeps the sharer sets itself.
 func NewHierarchyShared(l1i, l1d Config, sh *SharedL2, cpu int) *Hierarchy {
 	h := &Hierarchy{L1I: New(l1i), L1D: New(l1d), L2: sh.cache, shared: sh, cpu: cpu}
 	l2 := sh.cache.Config()

@@ -205,15 +205,19 @@ func (sh *SharedL2) invalidateL1Span(w []uint64, skip int, line mem.Addr, span u
 	}
 }
 
-// readBy records a read hit by cpu on the resident line containing a:
+// readBy records a read hit by cpu on the resident line containing a
+// (see readHit).
+func (sh *SharedL2) readBy(cpu int, a mem.Addr) {
+	if i := sh.cache.find(sh.cache.LineOf(a)); i >= 0 { // invariant: called only after a hit
+		sh.readHit(cpu, i)
+	}
+}
+
+// readHit records a read hit by cpu on the resident line in slot i:
 // the CPU joins the line's sharer set, and a line referenced from more
 // than one CPU carries the coherence "shared" mark (the analogue of
 // the private topology's directory-driven SetShared).
-func (sh *SharedL2) readBy(cpu int, a mem.Addr) {
-	i := sh.cache.find(sh.cache.LineOf(a))
-	if i < 0 {
-		return // invariant: called only after a hit
-	}
+func (sh *SharedL2) readHit(cpu, i int) {
 	w := sh.mask(i)
 	w[uint(cpu)>>6] |= 1 << (uint(cpu) & 63)
 	if maskCount(w) > 1 {
@@ -222,43 +226,51 @@ func (sh *SharedL2) readBy(cpu int, a mem.Addr) {
 }
 
 // storeBy resolves a write hit by cpu on the resident line containing
-// a: every other sharer's L1 copies are invalidated (write-invalidate,
-// but in-cache — the single L2 copy survives, already marked dirty by
-// the lookup), and the writer becomes the sole sharer.
+// a (see storeHit).
 func (sh *SharedL2) storeBy(cpu int, a mem.Addr) {
 	line := sh.cache.LineOf(a)
-	i := sh.cache.find(line)
-	if i < 0 {
-		return // invariant: called only after a hit
+	if i := sh.cache.find(line); i >= 0 { // invariant: called only after a hit
+		sh.storeHit(cpu, i, line)
 	}
+}
+
+// storeHit resolves a write hit by cpu on the resident line in slot i:
+// every other sharer's L1 copies are invalidated (write-invalidate,
+// but in-cache — the single L2 copy survives, already marked dirty by
+// the lookup), and the writer becomes the sole sharer. The sharer set,
+// not the shared mark, decides who is invalidated: a line whose only
+// sharer is another CPU carries no mark, yet that CPU's L1 copies must
+// still go.
+func (sh *SharedL2) storeHit(cpu, i int, line mem.Addr) {
 	w := sh.mask(i)
 	sh.invalidateL1Span(w, cpu, line, uint64(sh.cache.cfg.LineSize))
-	for k := range w {
-		w[k] = 0
-	}
+	clear(w)
 	w[uint(cpu)>>6] = 1 << (uint(cpu) & 63)
 	sh.cache.slots[i].flags &^= flagShared
 }
 
 // fill inserts the line containing a on behalf of (cpu, tid) after a
-// miss, maintaining inclusion across every CPU: the displaced victim's
-// span is invalidated from the L1s of all its recorded sharers. The
-// filler becomes the line's sole sharer.
+// miss (see filled).
 func (sh *SharedL2) fill(cpu int, tid mem.ThreadID, a mem.Addr, write bool) Victim {
 	victim := sh.cache.Insert(tid, a, write, false)
-	i := sh.cache.find(sh.cache.LineOf(a))
+	sh.filled(cpu, sh.cache.find(sh.cache.LineOf(a)), victim)
+	return victim
+}
+
+// filled completes cpu's fill of slot i, which displaced victim,
+// maintaining inclusion across every CPU: the victim's span is
+// invalidated from the L1s of all its recorded sharers, and the filler
+// becomes the line's sole sharer. Slot i's sharer words still hold the
+// victim's set when this runs (the side array is written only by
+// SharedL2 methods), so this is precisely the cross-CPU inclusion
+// invalidation.
+func (sh *SharedL2) filled(cpu, i int, victim Victim) {
 	w := sh.mask(i)
 	if victim.Valid {
-		// w still holds the victim's sharer set (the side array is
-		// written only here and in the invalidation paths), so this is
-		// precisely the cross-CPU inclusion invalidation.
 		sh.invalidateL1Span(w, -1, victim.Line, uint64(sh.cache.cfg.LineSize))
 	}
-	for k := range w {
-		w[k] = 0
-	}
+	clear(w)
 	w[uint(cpu)>>6] = 1 << (uint(cpu) & 63)
-	return victim
 }
 
 // InvalidateLine removes the line containing a from the shared cache

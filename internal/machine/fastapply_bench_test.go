@@ -3,15 +3,21 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/mem"
 )
 
 // benchApply measures the raw Apply throughput of a sequential
 // read+write sweep over a working set of wsBytes, with and without the
 // fused run path. Small sets exercise the hit paths, sets beyond the
-// E-cache the miss/fill paths.
-func benchApply(b *testing.B, slow bool, wsBytes uint64) {
-	m := New(Enterprise5000(2))
+// E-cache the miss/fill paths. On a shared topology the two CPUs take
+// turns, so every pass also keeps the shared L2's sharer sets: loads
+// rejoin lines the other CPU's stores left it the sole sharer of, and
+// stores invalidate the other CPU's L1 copies.
+func benchApply(b *testing.B, topo cachesim.Topology, slow bool, wsBytes uint64) {
+	cfg := Enterprise5000(2)
+	cfg.Topology = topo
+	m := New(cfg)
 	m.noFastApply = slow
 	r := m.Alloc(wsBytes, 0)
 	n := int32(wsBytes / 8)
@@ -19,16 +25,27 @@ func benchApply(b *testing.B, slow bool, wsBytes uint64) {
 		{Base: r.Base, Count: n, Stride: 8, Size: 8, Write: false},
 		{Base: r.Base, Count: n, Stride: 8, Size: 8, Write: true},
 	}
+	cpus := 1
+	if topo.Shared() {
+		cpus = 2
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Apply(0, 1, batch)
+		m.Apply(i%cpus, 1, batch)
 	}
 	b.SetBytes(int64(2 * wsBytes))
 }
 
-func BenchmarkApplySweepL1Fused(b *testing.B)  { benchApply(b, false, 8<<10) }
-func BenchmarkApplySweepL1Slow(b *testing.B)   { benchApply(b, true, 8<<10) }
-func BenchmarkApplySweepL2Fused(b *testing.B)  { benchApply(b, false, 256<<10) }
-func BenchmarkApplySweepL2Slow(b *testing.B)   { benchApply(b, true, 256<<10) }
-func BenchmarkApplySweepMemFused(b *testing.B) { benchApply(b, false, 1<<20) }
-func BenchmarkApplySweepMemSlow(b *testing.B)  { benchApply(b, true, 1<<20) }
+var sharedLLC = cachesim.Topology{Kind: cachesim.TopoSharedLLC}
+
+func BenchmarkApplySweepL1Fused(b *testing.B)  { benchApply(b, cachesim.Topology{}, false, 8<<10) }
+func BenchmarkApplySweepL1Slow(b *testing.B)   { benchApply(b, cachesim.Topology{}, true, 8<<10) }
+func BenchmarkApplySweepL2Fused(b *testing.B)  { benchApply(b, cachesim.Topology{}, false, 256<<10) }
+func BenchmarkApplySweepL2Slow(b *testing.B)   { benchApply(b, cachesim.Topology{}, true, 256<<10) }
+func BenchmarkApplySweepMemFused(b *testing.B) { benchApply(b, cachesim.Topology{}, false, 1<<20) }
+func BenchmarkApplySweepMemSlow(b *testing.B)  { benchApply(b, cachesim.Topology{}, true, 1<<20) }
+
+func BenchmarkApplySweepSharedL2Fused(b *testing.B)  { benchApply(b, sharedLLC, false, 256<<10) }
+func BenchmarkApplySweepSharedL2Slow(b *testing.B)   { benchApply(b, sharedLLC, true, 256<<10) }
+func BenchmarkApplySweepSharedMemFused(b *testing.B) { benchApply(b, sharedLLC, false, 1<<20) }
+func BenchmarkApplySweepSharedMemSlow(b *testing.B)  { benchApply(b, sharedLLC, true, 1<<20) }

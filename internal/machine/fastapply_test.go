@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/mem"
 )
 
@@ -66,12 +69,64 @@ func TestFastApplyHitStreak(t *testing.T) {
 	}
 }
 
+// fuzzShape draws one access from the differential fuzz's four shapes:
+// dense power-of-two sweeps (size==stride), straddle-heavy strides
+// misaligned with the reference size, large strides, and revisits of
+// the buffer start.
+func fuzzShape(rng *refLCG, span mem.Range) mem.Access {
+	switch rng.next() % 4 {
+	case 0:
+		// Dense lane shape: contiguous power-of-two sweep.
+		size := uint64(1) << (rng.next()%4 + 1) // 2..16
+		return mem.Access{
+			Base:   span.Base + mem.Addr((rng.next()%span.Len)&^(size-1)),
+			Count:  int32(rng.next()%512) + 1,
+			Stride: int32(size),
+			Size:   uint16(size),
+			Write:  rng.next()%4 == 0,
+		}
+	case 1:
+		// Straddle-heavy: stride misaligned with size.
+		return mem.Access{
+			Base:   span.Base + mem.Addr(rng.next()%span.Len),
+			Count:  int32(rng.next()%64) + 1,
+			Stride: int32(rng.next()%48) + 1,
+			Size:   uint16(1 << (rng.next() % 4)),
+			Write:  rng.next()%3 == 0,
+		}
+	case 2:
+		// Large stride: one probe per reference, page crossings.
+		return mem.Access{
+			Base:   span.Base + mem.Addr(rng.next()%span.Len),
+			Count:  int32(rng.next()%24) + 1,
+			Stride: int32(rng.next()%2048) + 32,
+			Size:   8,
+			Write:  rng.next()%3 == 0,
+		}
+	default:
+		// Revisit the start of the buffer so later dense sweeps
+		// hit resident lines (streak shape) or invalidated ones.
+		return mem.Access{
+			Base:   span.Base + mem.Addr((rng.next()%4096)&^7),
+			Count:  int32(rng.next()%256) + 1,
+			Stride: 8,
+			Size:   8,
+			Write:  rng.next()%2 == 0,
+		}
+	}
+}
+
+// inSpan reports whether every byte a touches lies inside span.
+func inSpan(a mem.Access, span mem.Range) bool {
+	end := uint64(a.Base) + uint64(a.Count)*uint64(a.Stride) + uint64(a.Size)
+	return end < uint64(span.Base)+span.Len
+}
+
 // TestFastApplyMatchesPerReference fuzzes the fused sweep against the
-// per-reference loop with a deterministic stream of mixed shapes:
-// dense power-of-two sweeps (size==stride), sub-line strides, straddle
-// groups (stride not a multiple of the reference size), large strides,
-// loads and stores, from several CPUs and threads so coherence events
-// (shared fills, invalidations, dirty writebacks) land inside sweeps.
+// per-reference loop with a deterministic stream of the fuzzShape
+// shapes, loads and stores, from several CPUs and threads so
+// coherence events (shared fills, invalidations, dirty writebacks)
+// land inside sweeps.
 func TestFastApplyMatchesPerReference(t *testing.T) {
 	for _, cpus := range []int{1, 4} {
 		cfg := smallConfig(cpus)
@@ -82,56 +137,157 @@ func TestFastApplyMatchesPerReference(t *testing.T) {
 		for step := 0; step < 6000; step++ {
 			cpu := int(rng.next()) % cpus
 			tid := mem.ThreadID(rng.next() % 6)
-			var a mem.Access
-			switch rng.next() % 4 {
-			case 0:
-				// Dense lane shape: contiguous power-of-two sweep.
-				size := uint64(1) << (rng.next()%4 + 1) // 2..16
-				a = mem.Access{
-					Base:   span.Base + mem.Addr((rng.next()%span.Len)&^(size-1)),
-					Count:  int32(rng.next()%512) + 1,
-					Stride: int32(size),
-					Size:   uint16(size),
-					Write:  rng.next()%4 == 0,
-				}
-			case 1:
-				// Straddle-heavy: stride misaligned with size.
-				a = mem.Access{
-					Base:   span.Base + mem.Addr(rng.next()%span.Len),
-					Count:  int32(rng.next()%64) + 1,
-					Stride: int32(rng.next()%48) + 1,
-					Size:   uint16(1 << (rng.next() % 4)),
-					Write:  rng.next()%3 == 0,
-				}
-			case 2:
-				// Large stride: one probe per reference, page crossings.
-				a = mem.Access{
-					Base:   span.Base + mem.Addr(rng.next()%span.Len),
-					Count:  int32(rng.next()%24) + 1,
-					Stride: int32(rng.next()%2048) + 32,
-					Size:   8,
-					Write:  rng.next()%3 == 0,
-				}
-			default:
-				// Revisit the start of the buffer so later dense sweeps
-				// hit resident lines (streak shape) or invalidated ones.
-				a = mem.Access{
-					Base:   span.Base + mem.Addr((rng.next()%4096)&^7),
-					Count:  int32(rng.next()%256) + 1,
-					Stride: 8,
-					Size:   8,
-					Write:  rng.next()%2 == 0,
-				}
+			if a := fuzzShape(&rng, span); inSpan(a, span) {
+				applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
 			}
-			end := uint64(a.Base) + uint64(a.Count)*uint64(a.Stride) + uint64(a.Size)
-			if end >= uint64(span.Base)+span.Len {
-				continue
-			}
-			applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
 		}
 		comparePair(t, fast, slow, cpus, "fuzz")
 		if err := fast.CheckCoherence(); err != nil {
 			t.Fatalf("fused machine incoherent after fuzz: %v", err)
 		}
 	}
+}
+
+// sharedState renders everything the shared-llc sweep upkeep can move
+// beyond cpuFingerprint: every CPU's L1I statistics and the resident
+// lines of both its L1s, and for every resident shared-L2 line its
+// owner, dirty and shared marks and recorded sharer set.
+func sharedState(m *Machine) string {
+	var b strings.Builder
+	for i := 0; i < m.NCPU(); i++ {
+		h := m.CPU(i).Hier
+		fmt.Fprintf(&b, "cpu%d l1i=%+v\n", i, h.L1I.Stats())
+		for _, l1 := range []*cachesim.Cache{h.L1I, h.L1D} {
+			l1.ForEachValidLine(func(line mem.Addr, owner mem.ThreadID) {
+				fmt.Fprintf(&b, "  %s %#x owner=%d\n", l1.Config().Name, uint64(line), owner)
+			})
+		}
+	}
+	sc := m.shared.Cache()
+	fmt.Fprintf(&b, "shared=%+v\n", sc.Stats())
+	sc.ForEachValidLine(func(line mem.Addr, owner mem.ThreadID) {
+		mask, _ := m.shared.Sharers(line)
+		fmt.Fprintf(&b, "  %#x owner=%d dirty=%v shared=%v sharers=%x\n",
+			uint64(line), owner, sc.IsDirty(line), sc.IsShared(line), mask)
+	})
+	return b.String()
+}
+
+// compareShared is comparePair plus the shared-cache state and the
+// machine-wide coherence and per-CPU inclusion checks.
+func compareShared(t *testing.T, fast, slow *Machine, when string) {
+	t.Helper()
+	comparePair(t, fast, slow, fast.NCPU(), when)
+	if got, want := sharedState(fast), sharedState(slow); got != want {
+		t.Fatalf("%s: shared state diverged:\nfused:\n%s\nper-ref:\n%s", when, got, want)
+	}
+	for _, m := range []*Machine{fast, slow} {
+		if err := m.CheckCoherence(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for i := 0; i < m.NCPU(); i++ {
+			if line, ok := m.CPU(i).Hier.CheckInclusion(); !ok {
+				t.Fatalf("%s: cpu %d holds %#x without a shared-L2 copy", when, i, uint64(line))
+			}
+		}
+	}
+}
+
+// TestFastApplySharedLLCMatchesPerReference fuzzes the shared-llc
+// sweep, whose L2 outcomes keep the shared cache's sharer sets, against
+// the per-reference dataShared path over 6000 fuzzShape accesses.
+// On a multiprocessor a quarter of the loads are followed by a store
+// from another CPU into the loaded range and a reload by the first
+// CPU, so store-hit invalidations land inside another CPU's load
+// streak. Miss-hook calls are compared in order.
+func TestFastApplySharedLLCMatchesPerReference(t *testing.T) {
+	for _, cpus := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("cpus=%d", cpus), func(t *testing.T) {
+			cfg := smallConfig(cpus)
+			cfg.TLBEntries = 8
+			cfg.Topology = cachesim.Topology{Kind: cachesim.TopoSharedLLC}
+			fast, slow, span := newPair(t, cfg, 64<<10)
+			if !fast.CPU(0).Hier.FastData() {
+				t.Fatal("shared-llc hierarchy does not take the fused sweep")
+			}
+			type missCall struct {
+				tid mem.ThreadID
+				va  mem.Addr
+			}
+			var fastMiss, slowMiss []missCall
+			fast.MissHook = func(tid mem.ThreadID, va mem.Addr) { fastMiss = append(fastMiss, missCall{tid, va}) }
+			slow.MissHook = func(tid mem.ThreadID, va mem.Addr) { slowMiss = append(slowMiss, missCall{tid, va}) }
+
+			rng := refLCG(20011653)
+			for steps := 0; steps < 6000; {
+				cpu := int(rng.next()) % cpus
+				tid := mem.ThreadID(rng.next() % 6)
+				a := fuzzShape(&rng, span)
+				if !inSpan(a, span) {
+					continue
+				}
+				applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
+				steps++
+				if cpus == 1 || a.Write || rng.next()%4 != 0 {
+					continue
+				}
+				// Another CPU stores into the range just loaded, then
+				// the loader sweeps it again.
+				other := (cpu + 1 + int(rng.next()%uint64(cpus-1))) % cpus
+				ext := uint64(a.Count) * uint64(a.Stride)
+				st := mem.Access{
+					Base:   a.Base + mem.Addr((rng.next()%(ext+1))&^7),
+					Count:  int32(rng.next()%32) + 1,
+					Stride: 8,
+					Size:   8,
+					Write:  true,
+				}
+				if inSpan(st, span) {
+					applyBoth(t, fast, slow, other, tid+1, mem.Batch{st})
+				}
+				applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
+			}
+			compareShared(t, fast, slow, "fuzz")
+			if len(fastMiss) != len(slowMiss) {
+				t.Fatalf("miss hook ran %d times fused, %d per-ref", len(fastMiss), len(slowMiss))
+			}
+			for i := range fastMiss {
+				if fastMiss[i] != slowMiss[i] {
+					t.Fatalf("miss hook call %d: fused %+v, per-ref %+v", i, fastMiss[i], slowMiss[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFastApplySharedStoreHitUnmarkedLine pins the store-hit upkeep to
+// the sharer set rather than the shared mark: CPU 0 loads a line, so
+// it is the line's only sharer and the line carries no shared mark;
+// CPU 1 then store-hits it, which must still invalidate CPU 0's L1D
+// copy and leave CPU 1 the sole sharer.
+func TestFastApplySharedStoreHitUnmarkedLine(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Topology = cachesim.Topology{Kind: cachesim.TopoSharedLLC}
+	fast, slow, span := newPair(t, cfg, 4<<10)
+	load := mem.Batch{{Base: span.Base, Count: 8, Stride: 8, Size: 8}}
+	store := mem.Batch{{Base: span.Base, Count: 8, Stride: 8, Size: 8, Write: true}}
+	for _, m := range []*Machine{fast, slow} {
+		m.Apply(0, 1, load)
+		line := m.translate(span.Base)
+		if mask, _ := m.shared.Sharers(line); mask != [4]uint64{1} || m.shared.Cache().IsShared(line) {
+			t.Fatalf("after CPU 0's load: sharers %x, shared mark %v; want {0}, unmarked",
+				mask, m.shared.Cache().IsShared(line))
+		}
+		if m.Apply(1, 2, store) != 0 {
+			t.Fatal("CPU 1's store missed the shared L2")
+		}
+		if m.CPU(0).Hier.L1D.Contains(line) {
+			t.Fatalf("noFastApply=%v: CPU 0's L1D still holds %#x after CPU 1's store hit", m.noFastApply, uint64(line))
+		}
+		if mask, _ := m.shared.Sharers(line); mask != [4]uint64{2} {
+			t.Fatalf("noFastApply=%v: sharers %x after CPU 1's store hit, want {1}", m.noFastApply, mask)
+		}
+		m.Apply(0, 1, load)
+	}
+	compareShared(t, fast, slow, "store hit on an unmarked line")
 }

@@ -679,6 +679,8 @@ func (s *sweepEnv) TranslatePage(va mem.Addr) mem.Addr {
 
 // LineMiss runs the directory side of an L2 miss — fill, victim
 // drop — and the miss hook, reporting the remote-dirty penalty class.
+// A shared-topology machine has no directory (its sweep keeps the
+// shared L2's sharer sets itself), so only the hook runs.
 func (s *sweepEnv) LineMiss(va, line mem.Addr, write bool, victim cachesim.Victim) bool {
 	m := s.m
 	remote := false

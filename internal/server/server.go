@@ -870,14 +870,17 @@ func (s *Server) Delete(ctx context.Context, id string) error {
 	sess.events.push(Event{Kind: "deleted"})
 	sess.events.close()
 	sess.obsLog.close()
-	s.dropSession(sess, true)
+	if err := s.dropSession(sess, true); err != nil {
+		s.met.ioFailures.Inc(s.shard(id))
+		return err
+	}
 	s.met.sessionsDeleted.Inc(s.shard(id))
 	return nil
 }
 
 // dropSession removes a session from the tables (and optionally its
-// files). Idempotent.
-func (s *Server) dropSession(sess *Session, removeFiles bool) {
+// files), returning the file removal's error. Idempotent.
+func (s *Server) dropSession(sess *Session, removeFiles bool) error {
 	s.mu.Lock()
 	if _, ok := s.sessions[sess.ID]; ok {
 		delete(s.sessions, sess.ID)
@@ -888,8 +891,9 @@ func (s *Server) dropSession(sess *Session, removeFiles bool) {
 	}
 	s.mu.Unlock()
 	if removeFiles {
-		s.store.removeSession(sess.ID)
+		return s.store.removeSession(sess.ID)
 	}
+	return nil
 }
 
 // loadResume fetches the session's resume state: the in-memory

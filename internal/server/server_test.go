@@ -471,6 +471,38 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteReportsManifestRemovalFailure pins that a Delete whose
+// manifest removal fails is not acknowledged: the manifest is what
+// brings a session back on restart. A non-empty directory at the
+// manifest's path makes the removal fail (ENOTEMPTY). A manifest that
+// is already gone is no failure.
+func TestDeleteReportsManifestRemovalFailure(t *testing.T) {
+	s := newTestServer(t, nil)
+	ctx := context.Background()
+	stuck := mustCreate(t, s, "", testSessionConfig(5))
+	path := s.store.manifestPath(stuck.ID)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(ctx, stuck.ID); err == nil {
+		t.Fatal("Delete acknowledged although the manifest could not be removed")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("manifest path after the failed delete: %v", err)
+	}
+
+	gone := mustCreate(t, s, "", testSessionConfig(6))
+	if err := os.Remove(s.store.manifestPath(gone.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(ctx, gone.ID); err != nil {
+		t.Fatalf("Delete with the manifest already gone: %v", err)
+	}
+}
+
 // TestRestartRestores is the graceful-restart gate: shut a server
 // down mid-flight and restore every session — idle ones with their
 // disk snapshots, done ones with their results — in a fresh server

@@ -145,12 +145,17 @@ func (st *store) writeFile(path string, data []byte) error {
 	})
 }
 
-// remove deletes path. Best-effort: every caller tolerates a leftover
-// file, so a failure is not reported.
-func (st *store) remove(path string) {
-	if st.crash("remove."+fileKind(path)) == nil {
-		os.Remove(path)
+// remove deletes path, reporting a failure; a file that is already
+// gone is not one. Callers that tolerate a leftover file ignore the
+// result.
+func (st *store) remove(path string) error {
+	if err := st.crash("remove." + fileKind(path)); err != nil {
+		return err
 	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
 // readFile returns path's bytes, retried under the store's IO policy;
@@ -235,12 +240,18 @@ func (st *store) removeSnapshot(id string) { st.remove(st.snapPath(id)) }
 
 // removeSession removes the session's files; used by delete. The
 // manifest goes first — it is what makes the session exist on restart
-// — so a crash part-way leaves only files boot treats as orphans.
-func (st *store) removeSession(id string) {
-	st.remove(st.manifestPath(id))
+// — so a crash part-way leaves only files boot treats as orphans. A
+// failure to remove the manifest is returned, with the other files
+// left in place: the session would come back on the next restart, so
+// the delete did not happen. The other removals are best-effort.
+func (st *store) removeSession(id string) error {
+	if err := st.remove(st.manifestPath(id)); err != nil {
+		return fmt.Errorf("server: removing manifest of %s: %w", id, err)
+	}
 	st.remove(st.snapPath(id))
 	st.remove(st.flightPath(id))
 	st.remove(st.intentPath(id))
+	return nil
 }
 
 // writeIntent durably records an outbound migration before the first

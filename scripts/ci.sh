@@ -117,21 +117,16 @@ gate ./internal/server 'TestMigrateKillSource|TestMigrateKillTarget|TestKillRest
 # and a clean SIGTERM drain. See docs/SERVICE.md.
 scripts/soak.sh
 
-# Overhead gate (opt-in: BENCH_GATE=1): re-run the benchmark sweep and
-# hard-fail if anything — most importantly BenchmarkObsOff, the
-# telemetry disabled path — regressed more than 2% against the newest
-# committed baseline. The sweep includes the scaling probe
-# BenchmarkFig9_64CPU, so hot-path regressions that only show at high
-# CPU counts fail the gate too; benchdiff never fails on benchmarks
-# present in only one file, so adding probes does not break old
-# baselines. Opt-in because the sweep takes minutes and the committed
-# numbers are host-specific; run it on the baseline host before
-# cutting a release.
+# Overhead gate (opt-in: BENCH_GATE=1): an interleaved A/B of the
+# committed HEAD against the working tree (scripts/benchgate.sh) over
+# the bench.sh benchmark set, hard-failing if any median — most
+# importantly BenchmarkObsOff, the telemetry disabled path — regressed
+# more than 2%. The set includes the scaling probe BenchmarkFig9_64CPU,
+# so hot-path regressions that only show at high CPU counts fail the
+# gate too. Both sides run on the same host in alternating rounds;
+# comparing against a file recorded at another time moved untouched
+# benchmarks by more than the budget. Opt-in because the ten rounds
+# take about 20 minutes; run it before committing a change.
 if [ "${BENCH_GATE:-}" = 1 ]; then
-    baseline=$(git ls-files 'BENCH_*.json' | LC_ALL=C sort | tail -1)
-    [ -n "$baseline" ] || { echo "BENCH_GATE=1 but no committed BENCH_*.json" >&2; exit 1; }
-    git show "HEAD:$baseline" > /tmp/bench_baseline.$$.json
-    scripts/bench.sh
-    scripts/benchdiff.sh /tmp/bench_baseline.$$.json "BENCH_$(date +%F).json" 2
-    rm -f /tmp/bench_baseline.$$.json
+    scripts/benchgate.sh
 fi

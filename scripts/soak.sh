@@ -64,7 +64,8 @@ load_pid=$!
 sleep 1
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
-kill "$load_pid" 2>/dev/null || true
+# The load client stops starting sessions once an operation gets no
+# response, so it exits on its own within one retry schedule.
 wait "$load_pid" 2>/dev/null || true
 start_server
 restored=$(sed -n 's/^atsimd: restored \([0-9]*\) sessions.*/\1/p' "$work/server.log")
