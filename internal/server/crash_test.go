@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,8 +76,8 @@ const crashSchedules = 216
 var crashPoints = []string{
 	"source.prepared", "source.intent", "source.push", "source.acked", "source.committed",
 	"target.received", "target.snapshot", "target.manifest",
-	"write.manifest", "write.snap", "write.intent", "write.flight",
-	"remove.manifest", "remove.snap", "remove.flight", "remove.intent",
+	"write.manifest", "write.snap", "write.intent",
+	"remove.manifest", "remove.snap", "remove.intent",
 	"rename.manifest", "rename.intent",
 }
 
@@ -193,17 +194,13 @@ func (sc crashSchedule) mustOps(mk func(opKind, int) crashOp) []crashOp {
 	step := mk(opStep, -1)
 	step.quanta = 2
 	onB := sc.victim == 1
-	var seq []crashOp
 	switch sc.point {
 	case "rename.manifest":
 		return []crashOp{mk(opCorruptManifest, 0), mk(opReboot, 0)}
 	case "rename.intent":
 		return []crashOp{mk(opCorruptIntent, -1), mk(opReboot, 0)}
-	case "write.flight":
-		seq = []crashOp{mk(opPoison, 0)}
-	default:
-		seq = []crashOp{mk(opCreate, 0), step}
 	}
+	seq := []crashOp{mk(opCreate, 0), step}
 	if onB || sc.point == "write.intent" || strings.HasPrefix(sc.point, "source.") || strings.HasPrefix(sc.point, "target.") {
 		seq = append(seq, mk(opMigrate, -1))
 	}
@@ -216,10 +213,8 @@ func (sc crashSchedule) mustOps(mk func(opKind, int) crashOp) []crashOp {
 		}
 	case "remove.snap":
 		seq = append(seq, mk(opFinish, -1))
-	case "remove.manifest", "remove.flight", "remove.intent":
+	case "remove.manifest", "remove.intent":
 		seq = append(seq, mk(opDelete, -1))
-	case "write.flight":
-		seq = append(seq, mk(opStep, -1))
 	}
 	return seq
 }
@@ -736,15 +731,18 @@ func (c *crashCoverage) fire(p string) { c.mu.Lock(); c.fired[p]++; c.mu.Unlock(
 func (c *crashCoverage) see(p string)  { c.mu.Lock(); c.seen[p] = true; c.mu.Unlock() }
 func (c *crashCoverage) kind(k string) { c.mu.Lock(); c.kinds[k]++; c.mu.Unlock() }
 
-// check requires every crash point — listed or merely passed — to have
-// fired, and every scenario and message fault to have happened.
+// check requires every passed point to be listed in crashPoints, every
+// listed point to have fired, and every scenario and message fault to
+// have happened.
 func (c *crashCoverage) check(t *testing.T) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, p := range crashPoints {
-		c.seen[p] = true
-	}
 	for p := range c.seen {
+		if !slices.Contains(crashPoints, p) {
+			t.Errorf("coverage: crash point %s is passed but not in crashPoints", p)
+		}
+	}
+	for _, p := range crashPoints {
 		if c.fired[p] == 0 {
 			t.Errorf("coverage: crash point %s never fired in %d schedules", p, crashSchedules)
 		}

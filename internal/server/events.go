@@ -15,7 +15,7 @@ const eventLogCap = 256
 // overflow is always reported, never silent.
 type Event struct {
 	Seq        uint64 `json:"seq"`
-	Kind       string `json:"kind"` // created, live, boundary, evicted, resumed, done, failed, flight_dumped, deleted, gap, migrate_prepare, migrate_transfer, migrate_retry, migrate_commit, migrate_abort, migrated_in
+	Kind       string `json:"kind"` // created, live, boundary, evicted, resumed, done, failed, deleted, gap, migrate_prepare, migrate_transfer, migrate_retry, migrate_commit, migrate_abort, migrated_in
 	Boundaries uint64 `json:"boundaries,omitempty"`
 	Cycle      uint64 `json:"cycle,omitempty"`
 	Detail     string `json:"detail,omitempty"`

@@ -25,7 +25,6 @@ import (
 //	DELETE /v1/sessions/{id}          remove session and its files
 //	GET    /v1/sessions/{id}/events   NDJSON lifecycle log; ?follow=1 streams
 //	GET    /v1/sessions/{id}/obs      NDJSON engine-event stream; ?follow=1&after=N
-//	GET    /v1/sessions/{id}/flight   the session's flight record, if dumped
 //	POST   /v1/sessions/{id}/migrate  hand the session off {"target": url}; see docs/SERVICE.md
 //	POST   /v1/migrations/in          peer-to-peer: accept a transfer envelope
 //	GET    /v1/migrations/in/{id}     peer-to-peer: recovery status query (?epoch=N; fences on "no")
@@ -63,9 +62,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/step", s.withDeadline(s.handleStep))
 	mux.HandleFunc("POST /v1/sessions/{id}/evict", s.withDeadline(s.handleEvict))
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.withDeadline(s.handleDelete))
-	mux.HandleFunc("GET /v1/sessions/{id}/events", s.handleEvents) // own deadline handling (follow)
-	mux.HandleFunc("GET /v1/sessions/{id}/obs", s.handleObs)       // own deadline handling (follow)
-	mux.HandleFunc("GET /v1/sessions/{id}/flight", s.withDeadline(s.handleFlight))
+	mux.HandleFunc("GET /v1/sessions/{id}/events", s.handleEvents)    // own deadline handling (follow)
+	mux.HandleFunc("GET /v1/sessions/{id}/obs", s.handleObs)          // own deadline handling (follow)
 	mux.HandleFunc("POST /v1/sessions/{id}/migrate", s.handleMigrate) // own, longer deadline
 	mux.HandleFunc("POST /v1/migrations/in", s.handleMigrationIn)     // own, longer deadline
 	mux.HandleFunc("GET /v1/migrations/in/{id}", s.withDeadline(s.handleMigrationStatus))
@@ -397,17 +395,6 @@ func streamLog[T any](s *Server, w http.ResponseWriter, r *http.Request, l *seqL
 			return
 		}
 	}
-}
-
-// handleFlight serves the session's flight record verbatim.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	data, err := s.Flight(r.PathValue("id"))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
 }
 
 type migrateRequest struct {

@@ -386,7 +386,6 @@ func (s *Server) abortMigration(sess *Session, epoch uint64, reason string, fenc
 	if fenced {
 		s.met.migFenced.Inc(s.shard(sess.ID))
 	}
-	s.dumpFlight(sess, "migration_aborted", reason)
 }
 
 // recoverIntents is the boot-time half of crash tolerance: every

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -293,97 +292,6 @@ func counterTotal(t *testing.T, s *Server, name string) uint64 {
 	return total
 }
 
-// TestFlightRecorderOnPanic drives the chaos probe and checks the full
-// flight path: the dump exists on disk, parses, classifies the failure
-// as a panic, and carries the engine's final pre-panic events; it
-// survives a server restart (scan must not quarantine it) and is gone
-// after delete.
-func TestFlightRecorderOnPanic(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestAPI(t, func(c *Config) { c.DataDir = dir })
-	cfg := obsSessionConfig(305)
-	cfg.PanicAtBoundary = 2
-	var info Info
-	doJSON(t, "POST", ts.URL+"/v1/sessions", cfg, &info)
-	var res StepResult
-	resp := doJSON(t, "POST", ts.URL+"/v1/sessions/"+info.ID+"/step", map[string]uint64{"quanta": 0}, &res)
-	if resp.StatusCode != http.StatusConflict || res.State != StateFailed {
-		t.Fatalf("chaos step = %d %+v, want 409 failed", resp.StatusCode, res)
-	}
-
-	if _, err := os.Stat(s.store.flightPath(info.ID)); err != nil {
-		t.Fatalf("flight file missing after panic: %v", err)
-	}
-
-	var fd flightDump
-	fresp, err := http.Get(ts.URL + "/v1/sessions/" + info.ID + "/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresp.Body.Close()
-	if fresp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /flight = %d", fresp.StatusCode)
-	}
-	if err := json.NewDecoder(fresp.Body).Decode(&fd); err != nil {
-		t.Fatalf("flight record does not parse: %v", err)
-	}
-	if fd.Reason != "panic" || fd.ID != info.ID || fd.State != StateFailed {
-		t.Fatalf("flight record = reason %q id %q state %q", fd.Reason, fd.ID, fd.State)
-	}
-	if !strings.Contains(fd.Detail, "chaos: injected panic") {
-		t.Fatalf("flight detail lost the panic diagnostic: %q", firstLine(fd.Detail))
-	}
-	if len(fd.EngineEvents) == 0 {
-		t.Fatal("flight record has no engine events — the pre-panic publish is broken")
-	}
-	for i, raw := range fd.EngineEvents {
-		var ev map[string]any
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			t.Fatalf("engine_events[%d] is not valid JSON: %v", i, err)
-		}
-	}
-	var kinds []string
-	for _, ev := range fd.Lifecycle {
-		kinds = append(kinds, ev.Kind)
-	}
-	if !strings.Contains(strings.Join(kinds, ","), "failed") {
-		t.Fatalf("flight lifecycle %v lacks the failed event", kinds)
-	}
-
-	// Metrics counted the dump.
-	if got := counterTotal(t, s, "atsimd_flight_dumps_total"); got != 1 {
-		t.Fatalf("atsimd_flight_dumps_total = %d, want 1", got)
-	}
-
-	// Restart over the same directory: the flight file must not be
-	// scanned as a manifest, the session must restore as failed, and
-	// the record must still be served.
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
-	got, err := s2.Get(info.ID)
-	if err != nil || got.State != StateFailed {
-		t.Fatalf("restored session = %+v, %v; want failed", got, err)
-	}
-	if _, err := s2.Flight(info.ID); err != nil {
-		t.Fatalf("flight record lost across restart: %v", err)
-	}
-	var qbuf bytes.Buffer
-	s2.WriteMetrics(&qbuf)
-	if strings.Contains(qbuf.String(), "atsimd_manifests_quarantined_total 1") {
-		t.Fatal("restart quarantined the flight file as a corrupt manifest")
-	}
-
-	// Delete removes the flight file with the session.
-	if err := s2.Delete(context.Background(), info.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s2.store.flightPath(info.ID)); !os.IsNotExist(err) {
-		t.Fatalf("flight file survived delete: %v", err)
-	}
-}
-
 // TestRequestTracing pins X-Request-ID propagation, the access log,
 // the RED histograms and the server trace export.
 func TestRequestTracing(t *testing.T) {
@@ -490,7 +398,7 @@ func TestRequestTracing(t *testing.T) {
 	}
 	for _, metric := range []string{
 		"atsimd_admission_wait_seconds", "atsimd_eviction_seconds",
-		"atsimd_snapshot_write_seconds", "atsimd_flight_dumps_total",
+		"atsimd_snapshot_write_seconds",
 	} {
 		if !strings.Contains(mbuf.String(), metric) {
 			t.Errorf("/metrics lacks %s", metric)
@@ -600,5 +508,63 @@ func TestObsStreamSurvivesEviction(t *testing.T) {
 	got := fetchObs(t, ts.URL, chopped.ID, "")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("evict/resume perturbed the stream (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestFailureReproducesFromConfig is what replaces a flight recorder:
+// a session created from a failed session's own config (as GET
+// returns it) fails at the same boundary and cycle with the same
+// failure line, and its /obs body — gap lines included — is
+// byte-identical, however the two were stepped. The cases cover a
+// lossless log, a log cap that sheds the head, and a stream ring that
+// overwrites between publishes.
+func TestFailureReproducesFromConfig(t *testing.T) {
+	cases := []struct {
+		name    string
+		logCap  int
+		obsRing int
+	}{
+		{"lossless", 1 << 17, 1 << 17},
+		{"log cap", 64, 1 << 17},
+		{"stream ring", 1 << 17, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestAPI(t, func(c *Config) { c.ObsLogCap = tc.logCap })
+			cfg := obsSessionConfig(305)
+			cfg.ObsRing = tc.obsRing
+			cfg.PanicAtBoundary = 2
+
+			var a, b Info
+			doJSON(t, "POST", ts.URL+"/v1/sessions", cfg, &a)
+			doJSON(t, "POST", ts.URL+"/v1/sessions/"+a.ID+"/step", map[string]uint64{"quanta": 0}, nil)
+			doJSON(t, "GET", ts.URL+"/v1/sessions/"+a.ID, nil, &a)
+			if a.State != StateFailed {
+				t.Fatalf("first session ended %s, want failed", a.State)
+			}
+
+			doJSON(t, "POST", ts.URL+"/v1/sessions", a.Config, &b)
+			for i := 0; b.State != StateFailed; i++ {
+				if i > 100 {
+					t.Fatal("the reproduction did not fail in 100 single-boundary steps")
+				}
+				doJSON(t, "POST", ts.URL+"/v1/sessions/"+b.ID+"/step", map[string]uint64{"quanta": 1}, nil)
+				doJSON(t, "GET", ts.URL+"/v1/sessions/"+b.ID, nil, &b)
+			}
+			if a.Boundaries != b.Boundaries || a.Cycle != b.Cycle {
+				t.Fatalf("failed at boundary %d cycle %d, reproduction at boundary %d cycle %d",
+					a.Boundaries, a.Cycle, b.Boundaries, b.Cycle)
+			}
+			if firstLine(a.Failure) != firstLine(b.Failure) {
+				t.Fatalf("failure %q, reproduction %q", firstLine(a.Failure), firstLine(b.Failure))
+			}
+			want := fetchObs(t, ts.URL, a.ID, "")
+			if len(want) == 0 {
+				t.Fatal("the failed session published no engine events")
+			}
+			if got := fetchObs(t, ts.URL, b.ID, ""); !bytes.Equal(got, want) {
+				t.Fatalf("reproduction /obs differs (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }

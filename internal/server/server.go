@@ -77,8 +77,8 @@ type Config struct {
 	// per event; MaxLive bounds how many sessions hold rings at once).
 	ObsRingSize int
 	// ObsLogCap bounds each session's published engine-event log — the
-	// tail the /obs endpoint and flight recorder can see (default
-	// 8192). Older events fall off as an explicit gap record.
+	// tail the /obs endpoint can see (default 8192). Older events fall
+	// off as an explicit gap record.
 	ObsLogCap int
 	// TraceSpanCap bounds the server's wall-clock span ring behind
 	// /debug/server-trace (default 16384).
@@ -262,7 +262,6 @@ type metrics struct {
 	liveGauge       *obs.Gauge
 	residentGauge   *obs.Gauge
 	stepSeconds     *obs.Histogram
-	flightDumps     *obs.Counter
 	admissionWait   *obs.Histogram
 	evictionSecs    *obs.Histogram
 	snapWriteSecs   *obs.Histogram
@@ -390,7 +389,6 @@ func (s *Server) initMetrics() {
 		residentGauge:   s.reg.Gauge("atsimd_sessions_resident"),
 		stepSeconds: s.reg.Histogram("atsimd_step_seconds",
 			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30}),
-		flightDumps: s.reg.Counter("atsimd_flight_dumps_total"),
 		// The RED latency histograms: where a step's wall time goes
 		// before (admission), around (eviction) and after (snapshot
 		// write) the simulation itself.
@@ -468,10 +466,8 @@ func (s *Server) restore() error {
 			sess.state = StateIdle
 		}
 		if sess.state == StateDone || sess.state == StateFailed || sess.state == StateMigrated {
-			// Terminal sessions will never publish again; engine events
-			// died with the previous process (a failed session's tail
-			// lives on in its flight file). Close so /obs followers
-			// terminate instead of waiting forever.
+			// Terminal sessions will never publish again: close so /obs
+			// followers terminate instead of waiting forever.
 			sess.obsLog.close()
 		}
 		if sess.state == StateMigrated {
@@ -560,7 +556,8 @@ func (s *Server) CreateSession(ctx context.Context, tenant string, cfg SessionCo
 	// disk, so a kill -9 at any instant loses at most sessions the
 	// client never heard about.
 	if err := s.persistManifest(sess); err != nil {
-		s.dropSession(sess, true)
+		s.dropSession(sess)
+		s.store.removeSession(id)
 		return Info{}, fmt.Errorf("server: persisting new session: %w", err)
 	}
 	s.met.sessionsCreated.Inc(s.shard(id))
@@ -840,9 +837,11 @@ func (s *Server) Evict(ctx context.Context, id string) (Info, error) {
 	return sess.info(), nil
 }
 
-// Delete removes a session and its files. A live engine is stopped
-// first; the tombstone flag keeps a racing persist from resurrecting
-// the files.
+// Delete removes a session's files, then the session. A live engine
+// is stopped first; the tombstone flag keeps a racing persist from
+// resurrecting the files. The manifest is what brings a session back
+// on restart, so when it cannot be removed the session stays, for Get
+// and a retried Delete.
 func (s *Server) Delete(ctx context.Context, id string) error {
 	sess, err := s.lookup(id)
 	if err != nil {
@@ -865,22 +864,25 @@ func (s *Server) Delete(ctx context.Context, id string) error {
 			// tombstone when it unwinds. Fall through and remove now.
 		}
 	}
+	if err := s.store.removeSession(id); err != nil {
+		sess.mu.Lock()
+		sess.deleted = false
+		sess.mu.Unlock()
+		s.met.ioFailures.Inc(s.shard(id))
+		return err
+	}
 	// The final lifecycle event lands before the session leaves the
 	// table, and the close ends every /events follower after it.
 	sess.events.push(Event{Kind: "deleted"})
 	sess.events.close()
 	sess.obsLog.close()
-	if err := s.dropSession(sess, true); err != nil {
-		s.met.ioFailures.Inc(s.shard(id))
-		return err
-	}
+	s.dropSession(sess)
 	s.met.sessionsDeleted.Inc(s.shard(id))
 	return nil
 }
 
-// dropSession removes a session from the tables (and optionally its
-// files), returning the file removal's error. Idempotent.
-func (s *Server) dropSession(sess *Session, removeFiles bool) error {
+// dropSession removes a session from the tables. Idempotent.
+func (s *Server) dropSession(sess *Session) {
 	s.mu.Lock()
 	if _, ok := s.sessions[sess.ID]; ok {
 		delete(s.sessions, sess.ID)
@@ -890,10 +892,6 @@ func (s *Server) dropSession(sess *Session, removeFiles bool) error {
 		s.updateGaugesLocked()
 	}
 	s.mu.Unlock()
-	if removeFiles {
-		return s.store.removeSession(sess.ID)
-	}
-	return nil
 }
 
 // loadResume fetches the session's resume state: the in-memory
@@ -970,13 +968,8 @@ func (s *Server) persistSession(sess *Session) {
 		s.met.snapWriteSecs.Observe(s.shard(sess.ID), d.Seconds())
 		s.spans.push(span{name: "snapshot.write", sess: sess.ID, start: t0, dur: d})
 		if err != nil {
+			// The session survives in memory; the next persist retries.
 			s.met.ioFailures.Inc(s.shard(sess.ID))
-			// An eviction that cannot persist its snapshot is the
-			// third flight-recorder trigger: the session survives in
-			// memory, but if the process dies before a later persist
-			// succeeds, the flight file is the forensic record of what
-			// the engine was doing.
-			s.dumpFlight(sess, "eviction_failure", err.Error())
 		} else {
 			sess.mu.Lock()
 			deleted := sess.deleted
@@ -1046,10 +1039,6 @@ func (s *Server) engineExited(le *liveEngine, res *Result, completed bool, runEr
 	default:
 		s.met.sessionsFailed.Inc(shard)
 		sess.events.push(Event{Kind: "failed", Detail: firstLine(failure)})
-		// Panic, stall-watchdog trip or engine error: dump the flight
-		// record — the published engine-event tail plus the lifecycle
-		// log — before closing the stream.
-		s.dumpFlight(sess, failureReason(failure), failure)
 		sess.obsLog.close()
 	}
 

@@ -428,6 +428,47 @@ func TestCorruptManifestQuarantined(t *testing.T) {
 	}
 }
 
+// TestBootRemovesOldFlightFiles: a data directory written by an older
+// build may hold flight records (<id>.flight.json), one for a live
+// session or one whose session is gone. Boot removes them: read as
+// manifests, they would restore as failed sessions or be quarantined.
+func TestBootRemovesOldFlightFiles(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	good := mustCreate(t, s1, "", testSessionConfig(78))
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	var stale []string
+	for _, id := range []string{good.ID, "s-999999"} {
+		p := filepath.Join(dir, id+".flight.json")
+		rec := `{"id":"` + id + `","tenant":"","reason":"panic","state":"failed","boundaries":2,` +
+			`"cycle":100352,"lifecycle":[{"kind":"failed"}],"engine_events":[{"seq":1,"t":0,"kind":"spawn"}]}`
+		if err := os.WriteFile(p, []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stale = append(stale, p)
+	}
+	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	if got, err := s2.Get(good.ID); err != nil || got.State != StateIdle {
+		t.Fatalf("session next to a flight file restored as %+v, %v; want idle", got, err)
+	}
+	if n := len(s2.List()); n != 1 {
+		t.Errorf("restored %d sessions, want 1", n)
+	}
+	if n := counterTotal(t, s2, "atsimd_manifests_quarantined_total"); n != 0 {
+		t.Errorf("atsimd_manifests_quarantined_total = %d, want 0", n)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 0 {
+		t.Errorf("quarantined %v", q)
+	}
+	for _, p := range stale {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived boot (stat err %v)", filepath.Base(p), err)
+		}
+	}
+}
+
 // TestStepDeadline pins deadline behavior: a step that cannot get
 // compute before its context expires returns a DeadlineError (504),
 // while the session itself stays healthy and completes later.
@@ -474,10 +515,12 @@ func TestDelete(t *testing.T) {
 // TestDeleteReportsManifestRemovalFailure pins that a Delete whose
 // manifest removal fails is not acknowledged: the manifest is what
 // brings a session back on restart. A non-empty directory at the
-// manifest's path makes the removal fail (ENOTEMPTY). A manifest that
-// is already gone is no failure.
+// manifest's path makes the removal fail (ENOTEMPTY). The session
+// stays visible until a retried Delete succeeds, and is then gone for
+// good. A manifest that is already gone is no failure.
 func TestDeleteReportsManifestRemovalFailure(t *testing.T) {
-	s := newTestServer(t, nil)
+	dir := t.TempDir()
+	s := newTestServer(t, func(c *Config) { c.DataDir = dir })
 	ctx := context.Background()
 	stuck := mustCreate(t, s, "", testSessionConfig(5))
 	path := s.store.manifestPath(stuck.ID)
@@ -493,6 +536,15 @@ func TestDeleteReportsManifestRemovalFailure(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("manifest path after the failed delete: %v", err)
 	}
+	if _, err := s.Get(stuck.ID); err != nil {
+		t.Fatalf("Get after the failed delete: %v", err)
+	}
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(ctx, stuck.ID); err != nil {
+		t.Fatalf("retried Delete: %v", err)
+	}
 
 	gone := mustCreate(t, s, "", testSessionConfig(6))
 	if err := os.Remove(s.store.manifestPath(gone.ID)); err != nil {
@@ -500,6 +552,14 @@ func TestDeleteReportsManifestRemovalFailure(t *testing.T) {
 	}
 	if err := s.Delete(ctx, gone.ID); err != nil {
 		t.Fatalf("Delete with the manifest already gone: %v", err)
+	}
+
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	if _, err := s2.Get(stuck.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after a reboot over the deleted session = %v, want ErrNotFound", err)
 	}
 }
 

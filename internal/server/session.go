@@ -91,10 +91,10 @@ type SessionConfig struct {
 	PanicAtBoundary uint64 `json:"panic_at_boundary,omitempty"`
 	// Obs selects the engine observability level: "off", "metrics" or
 	// "trace" (empty = the server's -session-obs default). Trace-level
-	// sessions publish engine events to the live /obs stream and the
-	// flight recorder. Fixed at admission: the level feeds the
-	// checkpoint config and the state fingerprint, so changing it
-	// mid-life would break resume verification.
+	// sessions publish engine events to the live /obs stream. Fixed at
+	// admission: the level feeds the checkpoint config and the state
+	// fingerprint, so changing it mid-life would break resume
+	// verification.
 	Obs string `json:"obs,omitempty"`
 	// ObsRing is the capacity of the engine's event rings (0 = the
 	// server's -obs-ring default, applied at admission for traced
@@ -273,10 +273,10 @@ type Session struct {
 	events *seqLog[Event]
 	// obsLog is the published engine-event stream: drained from the
 	// engine's obs stream ring at quantum boundaries, consumed by the
-	// /obs endpoint and the flight recorder. Seqs are global emission
-	// indices, stable across evictions, resumes and restarts: a resumed
-	// engine re-emits the same sequence from cycle zero and publishObs
-	// skips the already-published prefix. Always non-nil; empty and
+	// /obs endpoint. Seqs are global emission indices, stable across
+	// evictions, resumes and restarts: a resumed engine re-emits the
+	// same sequence from cycle zero and publishObs skips the
+	// already-published prefix. Always non-nil; empty and
 	// closed for unobserved or restored-terminal sessions.
 	obsLog *seqLog[obs.Event]
 }
@@ -501,8 +501,8 @@ func (le *liveEngine) loop() {
 	}()
 	// Final drain: events past the last boundary (the completion tail,
 	// or whatever a panic/stall/abort left in the ring) reach the
-	// obsLog before the exit is classified — the flight recorder sees
-	// the engine's last recorded moments.
+	// obsLog before the exit closes it, so /obs followers see the
+	// engine's last recorded moments.
 	le.publishObs()
 	le.endRunSpan()
 	le.srv.engineExited(le, res, completed, runErr)
@@ -642,11 +642,11 @@ func (le *liveEngine) onBoundary(st *snapshot.State) error {
 	le.sess.noteBoundary(st, n)
 	le.srv.met.boundaries.Add(le.srv.shard(le.sess.ID), 1)
 	// Publish BEFORE the chaos panic check: events up to this boundary
-	// are visible to followers and the flight recorder even when the
-	// very next instruction kills the engine.
+	// are visible to followers even when the very next instruction
+	// kills the engine.
 	le.publishObs()
 	if pa := le.sess.Cfg.PanicAtBoundary; pa > 0 && n >= pa {
-		panic(fmt.Sprintf("chaos: injected panic at boundary %d of session %s", n, le.sess.ID))
+		panic(fmt.Sprintf("chaos: injected panic at boundary %d", n))
 	}
 	if !le.unlimited {
 		// The boundary just delivered is paid for BEFORE the stop check,

@@ -91,7 +91,6 @@ const ioTimeout = 15 * time.Second
 
 func (st *store) manifestPath(id string) string { return filepath.Join(st.dir, id+".json") }
 func (st *store) snapPath(id string) string     { return filepath.Join(st.dir, id+".snap") }
-func (st *store) flightPath(id string) string   { return filepath.Join(st.dir, id+".flight.json") }
 func (st *store) intentPath(id string) string   { return filepath.Join(st.dir, id+".intent.json") }
 
 // policyFor decorrelates retry jitter across paths (and from other
@@ -121,8 +120,6 @@ func fileKind(path string) string {
 	switch {
 	case strings.HasSuffix(path, ".intent.json"):
 		return "intent"
-	case strings.HasSuffix(path, ".flight.json"):
-		return "flight"
 	case strings.HasSuffix(path, ".json"):
 		return "manifest"
 	}
@@ -249,7 +246,6 @@ func (st *store) removeSession(id string) error {
 		return fmt.Errorf("server: removing manifest of %s: %w", id, err)
 	}
 	st.remove(st.snapPath(id))
-	st.remove(st.flightPath(id))
 	st.remove(st.intentPath(id))
 	return nil
 }
@@ -300,29 +296,6 @@ func (st *store) scanIntents() (intents []migrationIntent, quarantined []string,
 	return intents, quarantined, nil
 }
 
-// writeFlight persists a flight record (see flight.go). Same atomic
-// write-and-retry discipline as the manifest.
-func (st *store) writeFlight(id string, d flightDump) error {
-	data, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: encoding flight record %s: %w", id, err)
-	}
-	return st.writeFile(st.flightPath(id), data)
-}
-
-// loadFlight returns the raw flight record, or ErrNotFound when the
-// session never dumped one.
-func (st *store) loadFlight(id string) (json.RawMessage, error) {
-	data, err := st.readFile(st.flightPath(id))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, fmt.Errorf("server: loading flight record for %s: %w", id, err)
-	}
-	return data, nil
-}
-
 // restored is one recovered session record — or, when quarantined is
 // set, a manifest that could not be loaded and was moved aside.
 type restored struct {
@@ -366,23 +339,28 @@ func (st *store) scan(workers int) ([]restored, error) {
 	}
 	var paths []string
 	for _, e := range entries {
-		// A receipt or flight record whose manifest is gone belongs to
-		// a session whose delete was cut short (delete removes the
-		// manifest first). Left in place, it would attach to a later
-		// session that reuses the ID.
+		// A receipt whose manifest is gone belongs to a session whose
+		// delete was cut short (delete removes the manifest first).
+		// Left in place, it would attach to a later session that
+		// reuses the ID.
 		if id, ok := strings.CutSuffix(e.Name(), ".snap"); ok && !names[id+".json"] && !names[id+".json.corrupt"] {
 			st.remove(filepath.Join(st.dir, e.Name()))
 		}
-		if id, ok := strings.CutSuffix(e.Name(), ".flight.json"); ok && !names[id+".json"] && !names[id+".json.corrupt"] {
+		// Older builds wrote a flight record, <id>.flight.json, on
+		// failures. Nothing reads it any more, and loaded as a manifest
+		// it would restore as a session. (Its removal's crash point is
+		// remove.manifest: fileKind has no kind for it.)
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".flight.json") {
 			st.remove(filepath.Join(st.dir, e.Name()))
+			continue
 		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		// Flight records and migration intents also end in .json but are
-		// not manifests — scanning them here would quarantine them as
-		// corrupt. Intents get their own scan (scanIntents).
-		if strings.HasSuffix(e.Name(), ".flight.json") || strings.HasSuffix(e.Name(), ".intent.json") {
+		// Migration intents also end in .json but are not manifests —
+		// scanning them here would quarantine them as corrupt. They get
+		// their own scan (scanIntents).
+		if strings.HasSuffix(e.Name(), ".intent.json") {
 			continue
 		}
 		paths = append(paths, filepath.Join(st.dir, e.Name()))

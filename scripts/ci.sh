@@ -54,8 +54,10 @@ gate . 'TestGoldenUnchangedByObservation'
 # Live-stream determinism gates: the server's /obs stream must be
 # byte-identical to the standalone engine's post-hoc export at any
 # worker count, a follower must accumulate exactly the batch bytes,
-# and evict/resume cycles must not perturb the sequence.
-gate ./internal/server 'TestObsStreamMatchesEngineExport|TestObsFollowEqualsBatch|TestObsStreamSurvivesEviction'
+# evict/resume cycles must not perturb the sequence, and a failed
+# session's own config must replay its failure and its stream (what
+# stands in for a flight recorder).
+gate ./internal/server 'TestObsStreamMatchesEngineExport|TestObsFollowEqualsBatch|TestObsStreamSurvivesEviction|TestFailureReproducesFromConfig'
 gate ./internal/obs 'TestStreamFollowEqualsBatch'
 
 # Stream-accounting gates: the one bounded log behind /events, /obs and
@@ -103,12 +105,14 @@ gate ./internal/rt 'TestKillResume|TestCheckpointCaptureIsPure'
 # any migration phase point or durable store mutation, a dropped or
 # duplicated migration response), each followed by a restart and the
 # invariant checks of docs/SERVICE.md; the two boundary-drift
-# regressions; a done session's leftover receipt swept at boot; a
-# session parked past its stall timeout, and a spinner caught although
-# it crosses checkpoint boundaries; an instance whose crash hook fired
-# staying inert; the phase-point kill matrix of a migration; and a
-# restart after an abandoned (killed) server.
-gate ./internal/server 'TestCrashSchedules|TestBoundariesAfterStaleManifest|TestBoundariesAfterLostReceipt|TestDoneReceiptSweptAtBoot|TestParkedSessionOutlivesStallTimeout|TestCrashedInstanceIsInert'
+# regressions; a done session's leftover receipt and an older build's
+# flight records swept at boot; a Delete that cannot remove the
+# manifest leaving the session in place; a session parked past its
+# stall timeout, and a spinner caught although it crosses checkpoint
+# boundaries; an instance whose crash hook fired staying inert; the
+# phase-point kill matrix of a migration; and a restart after an
+# abandoned (killed) server.
+gate ./internal/server 'TestCrashSchedules|TestBoundariesAfterStaleManifest|TestBoundariesAfterLostReceipt|TestDoneReceiptSweptAtBoot|TestBootRemovesOldFlightFiles|TestDeleteReportsManifestRemovalFailure|TestParkedSessionOutlivesStallTimeout|TestCrashedInstanceIsInert'
 gate ./internal/rt 'TestWatchdogCatchesStepSpinAcrossBoundaries|TestWatchdogStopsWhileParked'
 gate ./internal/server 'TestMigrateKillSource|TestMigrateKillTarget|TestKillRestoreIdentity'
 
