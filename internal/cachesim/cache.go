@@ -348,6 +348,44 @@ func (c *Cache) RepeatHit(tid mem.ThreadID, a mem.Addr, write bool, k int) {
 	c.Repeat(tid, a, write, k)
 }
 
+// HitRun issues loads by tid to the n consecutive lines starting at
+// a's line while they hit, and returns how many did; the first missing
+// line is left for the caller to issue through the full path. Each hit
+// is what Lookup(tid, ·, false) does on a hit: statistics, ownership
+// and, on the generic path, the recency clock, which advances per hit
+// so later victim choices see the same order. With a classifier
+// attached it reports no hits, so the caller's full path issues every
+// line and classifies it.
+func (c *Cache) HitRun(tid mem.ThreadID, a mem.Addr, n int) int {
+	if c.classify != nil {
+		return 0
+	}
+	lru := !c.direct || c.forceGeneric
+	line := a >> c.lineShift << c.lineShift
+	h := 0
+	for ; h < n; h++ {
+		// find's way scan, inlined (a direct-mapped set is one way):
+		// the call would cost more than the two-way scan itself.
+		i := int(uint64(line>>c.lineShift)&c.setMask) * c.ways
+		end := i + c.ways
+		for i < end && (c.slots[i].flags&flagValid == 0 || c.slots[i].tag != line) {
+			i++
+		}
+		if i == end {
+			break
+		}
+		if lru {
+			c.useClock++
+			c.lastUse[i] = c.useClock
+		}
+		c.slots[i].owner = tid
+		line += mem.Addr(c.cfg.LineSize)
+	}
+	c.stats.Refs += uint64(h)
+	c.stats.Hits += uint64(h)
+	return h
+}
+
 // Contains reports whether the line containing a is resident, without
 // any side effects (no stats, no recency update). For tests and
 // diagnostics.

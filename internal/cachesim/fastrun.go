@@ -72,16 +72,18 @@ func (h *Hierarchy) FastData() bool {
 }
 
 // SweepDM performs a whole positive-stride access (a.Stride > 0, any
-// magnitude) through the direct-mapped data path. It is the fused
-// equivalent of the machine's run batching: references are grouped
-// into same-L1D-line runs whose outcome is frozen by their first
-// reference (loads allocate in L1D, so repeats are L1D hits; stores
-// leave the non-allocating write-through L1D unchanged and repeat as
-// L2 hits on the line the first store made dirty), and consecutive
-// runs inside one L2 line carry the line's residency and ownership
-// forward, so only the first run that reaches the L2 pays the probe.
-// Strides at or beyond the L1D line degenerate to k=1 runs (every
-// reference probes), and a reference straddling an L1D line boundary
+// magnitude), or a single reference (a.Count == 1, any stride), through
+// the direct-mapped data path. It is the fused equivalent of the
+// machine's run batching: references are grouped into same-L1D-line
+// runs whose outcome is frozen by their first reference (loads
+// allocate in L1D, so repeats are L1D hits; stores leave the
+// non-allocating write-through L1D unchanged and repeat as L2 hits on
+// the line the first store made dirty), and consecutive runs inside
+// one L2 line carry the line's residency and ownership forward, so
+// only the first run that reaches the L2 pays the probe. Strides at or
+// beyond the L1D line degenerate to k=1 runs (every reference probes;
+// loads whose probes hit take the strided load streak), and a
+// reference straddling an L1D line boundary
 // becomes two k=1 probes of its endpoint lines — exactly the two
 // references the per-reference path issues for it. pageShift is the
 // machine's page geometry; coherent gates the directory callbacks so
@@ -105,6 +107,11 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 	ls := uint64(d.cfg.LineSize)
 	stride := uint64(a.Stride)
 	count := int(a.Count)
+	if count == 1 {
+		// One reference has no stride: any value leaves its single run
+		// unchanged, and the line size opens the load streak to it.
+		stride = ls
+	}
 	size := uint64(a.Size)
 	if size == 0 {
 		// A zero-size reference touches just its base byte's line; the
@@ -136,6 +143,15 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 		denseRB = uint64(a.Base) & (stride - 1)
 		densePerLine = int(ls >> uint(strideShift))
 	}
+	// Strided load streak: a load with a power-of-two stride of at
+	// least the L1D line and no straddle probes one distinct line per
+	// reference, all at the base's line offset. While those probes hit,
+	// the only effects are counters and owner updates (see the streak
+	// block inside the loop). Like the dense lane it skips classifier
+	// bookkeeping, so it needs the L1D's classifier off.
+	streak := !write && !dense && strideShift >= 0 && stride >= ls &&
+		uint64(a.Base)&(ls-1)+uint64(a.Size) <= ls && d.classify == nil
+	pageSize := uint64(1) << pageShift
 	var (
 		out                   SweepOutcome
 		dRefs, dHits, dMisses uint64
@@ -210,7 +226,6 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 				if denseRB != 0 {
 					gk = un + 1
 				}
-				pageSize := uint64(1) << pageShift
 				for g := 0; g < groups; {
 					// Load hit streak: while consecutive probes hit the
 					// L1D, the only effects are counters and owner
@@ -394,6 +409,44 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 					i += densePerLine
 					g++
 				}
+				continue
+			}
+		}
+		// Strided load streak: walk the hits on va's page (the
+		// translation memo's reach), each a one-reference run on its
+		// own line, in a tight loop. Span and carry state are
+		// reconciled once at the end, to what the generic bodies would
+		// leave: L1D hits never touch the L2, so only the final span
+		// matters, and within a page the lines ascend, so the span
+		// that was current before the streak cannot recur once left.
+		// The first miss falls through to the generic body below.
+		if streak {
+			if vp := uint64(va) >> pageShift; vp != curVPage {
+				pageDelta = env.TranslatePage(va) - va
+				curVPage = vp
+			}
+			line1 := (va + pageDelta) >> d.lineShift << d.lineShift
+			n := min(count-i, int((pageSize-1-uint64(va)&(pageSize-1))>>strideShift)+1)
+			h := 0
+			for ; h < n; h++ {
+				s1 := &d.slots[uint64(line1>>d.lineShift)&d.setMask]
+				if s1.flags&flagValid == 0 || s1.tag != line1 {
+					break
+				}
+				s1.owner = tid
+				line1 += mem.Addr(stride)
+			}
+			if h > 0 {
+				uh := uint64(h)
+				dRefs += uh
+				dHits += uh
+				out.L1Refs += uh
+				last := line1 - mem.Addr(stride)
+				if line2 := last >> e.lineShift << e.lineShift; !carryOK || line2 != curLine2 {
+					curLine2, carryOK, l2Resident = line2, true, false
+				}
+				curLine1, l1Carry, l1CarryHit = last, true, true
+				i += h
 				continue
 			}
 		}

@@ -16,8 +16,10 @@ import (
 // through a fused machine and a noFastApply machine and compare the
 // full counter fingerprints. They are the safety net for every fast
 // path layered into the sweep: the dense lane (contiguous power-of-two
-// sweeps), the load hit-streak inside it, the L1/L2 carry memos, and
-// the group straddle shapes.
+// sweeps), the load hit-streak inside it, the L1/L2 carry memos, the
+// group straddle shapes, the strided load streak and single
+// references; and for TouchCode's fetch lane, against its per-line
+// loop.
 
 // applyBoth issues batch on both machines and fails if the returned
 // miss counts differ.
@@ -69,12 +71,13 @@ func TestFastApplyHitStreak(t *testing.T) {
 	}
 }
 
-// fuzzShape draws one access from the differential fuzz's four shapes:
+// fuzzShape draws one access from the differential fuzz's shapes:
 // dense power-of-two sweeps (size==stride), straddle-heavy strides
-// misaligned with the reference size, large strides, and revisits of
-// the buffer start.
+// misaligned with the reference size, large strides, revisits of the
+// buffer start, single references with no stride, negative strides,
+// and line-strided loads.
 func fuzzShape(rng *refLCG, span mem.Range) mem.Access {
-	switch rng.next() % 4 {
+	switch rng.next() % 7 {
 	case 0:
 		// Dense lane shape: contiguous power-of-two sweep.
 		size := uint64(1) << (rng.next()%4 + 1) // 2..16
@@ -103,7 +106,7 @@ func fuzzShape(rng *refLCG, span mem.Range) mem.Access {
 			Size:   8,
 			Write:  rng.next()%3 == 0,
 		}
-	default:
+	case 3:
 		// Revisit the start of the buffer so later dense sweeps
 		// hit resident lines (streak shape) or invalidated ones.
 		return mem.Access{
@@ -113,13 +116,47 @@ func fuzzShape(rng *refLCG, span mem.Range) mem.Access {
 			Size:   8,
 			Write:  rng.next()%2 == 0,
 		}
+	case 4:
+		// One reference with no stride (the scheduler's overhead
+		// touches), sometimes straddling an L1D line.
+		return mem.Access{
+			Base:  span.Base + mem.Addr(rng.next()%4096),
+			Count: 1,
+			Size:  uint16(1 << (rng.next() % 6)),
+			Write: rng.next()%3 == 0,
+		}
+	case 5:
+		// Negative stride: a backward walk from inside the buffer.
+		return mem.Access{
+			Base:   span.Base + 4096 + mem.Addr(rng.next()%4096),
+			Count:  int32(rng.next()%64) + 1,
+			Stride: -int32(rng.next()%64) - 1,
+			Size:   8,
+			Write:  rng.next()%3 == 0,
+		}
+	default:
+		// Line-strided loads (the tasks benchmark's footprint touch)
+		// over the buffer's first lines, so they often hit: one
+		// reference per L1D line or more, straddling when the base
+		// sits late in its line.
+		stride := []int32{16, 32, 64, 128, 8192}[rng.next()%5]
+		n := min(48, (span.Len-2048)/uint64(stride))
+		return mem.Access{
+			Base:   span.Base + mem.Addr((rng.next()%2048)&^3),
+			Count:  int32(rng.next()%n) + 1,
+			Stride: stride,
+			Size:   8,
+			Write:  rng.next()%8 == 0,
+		}
 	}
 }
 
 // inSpan reports whether every byte a touches lies inside span.
 func inSpan(a mem.Access, span mem.Range) bool {
-	end := uint64(a.Base) + uint64(a.Count)*uint64(a.Stride) + uint64(a.Size)
-	return end < uint64(span.Base)+span.Len
+	first := int64(a.Base)
+	last := first + int64(a.Count-1)*int64(a.Stride)
+	lo, hi := min(first, last), max(first, last)+int64(a.Size)
+	return lo >= int64(span.Base) && hi < int64(span.Base)+int64(span.Len)
 }
 
 // TestFastApplyMatchesPerReference fuzzes the fused sweep against the
@@ -140,46 +177,55 @@ func TestFastApplyMatchesPerReference(t *testing.T) {
 			if a := fuzzShape(&rng, span); inSpan(a, span) {
 				applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
 			}
+			if step%50 == 0 {
+				compareState(t, fast, slow, fmt.Sprintf("step %d", step))
+			}
 		}
-		comparePair(t, fast, slow, cpus, "fuzz")
-		if err := fast.CheckCoherence(); err != nil {
-			t.Fatalf("fused machine incoherent after fuzz: %v", err)
-		}
+		compareState(t, fast, slow, "fuzz")
 	}
 }
 
-// sharedState renders everything the shared-llc sweep upkeep can move
-// beyond cpuFingerprint: every CPU's L1I statistics and the resident
-// lines of both its L1s, and for every resident shared-L2 line its
-// owner, dirty and shared marks and recorded sharer set.
-func sharedState(m *Machine) string {
+// cacheState renders everything the fused lanes can move beyond
+// cpuFingerprint: every CPU's L1I statistics and the resident lines of
+// its L1s with their owners, in slot order (so an associative cache's
+// way choice shows), and every resident L2 line with its owner, dirty
+// and shared marks — per CPU on the private topology, once with its
+// recorded sharer set on a shared one.
+func cacheState(m *Machine) string {
 	var b strings.Builder
 	for i := 0; i < m.NCPU(); i++ {
 		h := m.CPU(i).Hier
 		fmt.Fprintf(&b, "cpu%d l1i=%+v\n", i, h.L1I.Stats())
-		for _, l1 := range []*cachesim.Cache{h.L1I, h.L1D} {
-			l1.ForEachValidLine(func(line mem.Addr, owner mem.ThreadID) {
-				fmt.Fprintf(&b, "  %s %#x owner=%d\n", l1.Config().Name, uint64(line), owner)
+		caches := []*cachesim.Cache{h.L1I, h.L1D}
+		if m.shared == nil {
+			caches = append(caches, h.L2)
+		}
+		for _, c := range caches {
+			c.ForEachValidLine(func(line mem.Addr, owner mem.ThreadID) {
+				fmt.Fprintf(&b, "  %s %#x owner=%d dirty=%v shared=%v\n",
+					c.Config().Name, uint64(line), owner, c.IsDirty(line), c.IsShared(line))
 			})
 		}
 	}
-	sc := m.shared.Cache()
-	fmt.Fprintf(&b, "shared=%+v\n", sc.Stats())
-	sc.ForEachValidLine(func(line mem.Addr, owner mem.ThreadID) {
-		mask, _ := m.shared.Sharers(line)
-		fmt.Fprintf(&b, "  %#x owner=%d dirty=%v shared=%v sharers=%x\n",
-			uint64(line), owner, sc.IsDirty(line), sc.IsShared(line), mask)
-	})
+	if m.shared != nil {
+		sc := m.shared.Cache()
+		fmt.Fprintf(&b, "shared=%+v\n", sc.Stats())
+		sc.ForEachValidLine(func(line mem.Addr, owner mem.ThreadID) {
+			mask, _ := m.shared.Sharers(line)
+			fmt.Fprintf(&b, "  %#x owner=%d dirty=%v shared=%v sharers=%x\n",
+				uint64(line), owner, sc.IsDirty(line), sc.IsShared(line), mask)
+		})
+	}
 	return b.String()
 }
 
-// compareShared is comparePair plus the shared-cache state and the
-// machine-wide coherence and per-CPU inclusion checks.
-func compareShared(t *testing.T, fast, slow *Machine, when string) {
+// compareState is comparePair plus cacheState and the machine-wide
+// coherence and per-CPU inclusion checks.
+func compareState(t *testing.T, fast, slow *Machine, when string) {
 	t.Helper()
 	comparePair(t, fast, slow, fast.NCPU(), when)
-	if got, want := sharedState(fast), sharedState(slow); got != want {
-		t.Fatalf("%s: shared state diverged:\nfused:\n%s\nper-ref:\n%s", when, got, want)
+	if got, want := cacheState(fast), cacheState(slow); got != want {
+		t.Fatalf("%s: cache state diverged:\nfused:\n%s\nper-ref:\n%s", when, got, want)
 	}
 	for _, m := range []*Machine{fast, slow} {
 		if err := m.CheckCoherence(); err != nil {
@@ -187,7 +233,7 @@ func compareShared(t *testing.T, fast, slow *Machine, when string) {
 		}
 		for i := 0; i < m.NCPU(); i++ {
 			if line, ok := m.CPU(i).Hier.CheckInclusion(); !ok {
-				t.Fatalf("%s: cpu %d holds %#x without a shared-L2 copy", when, i, uint64(line))
+				t.Fatalf("%s: cpu %d holds %#x without an L2 copy", when, i, uint64(line))
 			}
 		}
 	}
@@ -228,6 +274,9 @@ func TestFastApplySharedLLCMatchesPerReference(t *testing.T) {
 				}
 				applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
 				steps++
+				if steps%50 == 0 {
+					compareState(t, fast, slow, fmt.Sprintf("step %d", steps))
+				}
 				if cpus == 1 || a.Write || rng.next()%4 != 0 {
 					continue
 				}
@@ -247,7 +296,7 @@ func TestFastApplySharedLLCMatchesPerReference(t *testing.T) {
 				}
 				applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
 			}
-			compareShared(t, fast, slow, "fuzz")
+			compareState(t, fast, slow, "fuzz")
 			if len(fastMiss) != len(slowMiss) {
 				t.Fatalf("miss hook ran %d times fused, %d per-ref", len(fastMiss), len(slowMiss))
 			}
@@ -289,5 +338,51 @@ func TestFastApplySharedStoreHitUnmarkedLine(t *testing.T) {
 		}
 		m.Apply(0, 1, load)
 	}
-	compareShared(t, fast, slow, "store hit on an unmarked line")
+	compareState(t, fast, slow, "store hit on an unmarked line")
+}
+
+// TestFastTouchCodeMatchesPerLine drives TouchCode's fetch lane
+// (per-page translation, L1I hit runs) against the per-line reference
+// on the private and shared-llc topologies. The code regions start
+// 256 B apart or at odd offsets, so on the 2-way, 8-set L1I of
+// smallConfig they collide set for set and the LRU order the hit runs
+// leave decides which way the next fill evicts; some straddle the
+// 1 KB pages. Data fuzz accesses interleave with the fetches, so L2
+// fills evict code lines and inclusion drops them from the L1I.
+func TestFastTouchCodeMatchesPerLine(t *testing.T) {
+	for _, topo := range []cachesim.Topology{{}, {Kind: cachesim.TopoSharedLLC}} {
+		for _, cpus := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%v/cpus=%d", topo, cpus), func(t *testing.T) {
+				cfg := smallConfig(cpus)
+				cfg.TLBEntries = 8
+				cfg.Topology = topo
+				fast, slow, span := newPair(t, cfg, 64<<10)
+				code := fast.Alloc(8<<10, 1024)
+				if slow.Alloc(8<<10, 1024) != code {
+					t.Fatal("allocators diverged")
+				}
+				rng := refLCG(31415926)
+				for step := 0; step < 6000; step++ {
+					cpu := int(rng.next()) % cpus
+					tid := mem.ThreadID(rng.next() % 6)
+					if rng.next()%3 != 0 {
+						if a := fuzzShape(&rng, span); inSpan(a, span) {
+							applyBoth(t, fast, slow, cpu, tid, mem.Batch{a})
+						}
+					} else {
+						r := mem.Range{
+							Base: code.Base + mem.Addr(rng.next()%24)*256 + mem.Addr(rng.next()%3)*100,
+							Len:  rng.next()%640 + 1,
+						}
+						fast.TouchCode(cpu, tid, r)
+						slow.TouchCode(cpu, tid, r)
+					}
+					if step%50 == 0 {
+						compareState(t, fast, slow, fmt.Sprintf("step %d", step))
+					}
+				}
+				compareState(t, fast, slow, "fetch fuzz")
+			})
+		}
+	}
 }

@@ -382,10 +382,10 @@ type Machine struct {
 	// address never allocates.
 	env sweepEnv
 
-	// noFastApply disables the fused run path so the differential
-	// tests can drive the per-reference reference implementation on
-	// the same geometry and compare. Test-only; never set outside
-	// this package's tests.
+	// noFastApply disables the fused run path and TouchCode's fetch
+	// lane so the differential tests can drive the per-reference
+	// reference implementation on the same geometry and compare.
+	// Test-only; never set outside this package's tests.
 	noFastApply bool
 
 	l2LineSize  uint64
@@ -549,13 +549,14 @@ func (m *Machine) Apply(cpuID int, tid mem.ThreadID, batch mem.Batch) uint64 {
 	fast := !m.noFastApply && cpu.Hier.FastData()
 	for _, a := range batch {
 		base := a.Base
-		if fast && a.Stride > 0 && a.Count > 0 {
+		if fast && a.Count > 0 && (a.Stride > 0 || a.Count == 1) {
 			// On the direct-mapped geometry any forward-strided access
-			// folds into one fused hierarchy sweep (see applySweep):
-			// small strides batch into same-line runs, strides at or
-			// beyond the L1D line degenerate to one probe per
-			// reference, and straddles probe their two endpoint lines
-			// — all event-for-event identical to the loops below.
+			// or single reference folds into one fused hierarchy sweep
+			// (see applySweep): small strides batch into same-line
+			// runs, strides at or beyond the L1D line degenerate to
+			// one probe per reference, and straddles probe their two
+			// endpoint lines — all event-for-event identical to the
+			// loops below.
 			m.applySweep(cpu, tid, a)
 		} else if a.Count > 1 && a.Stride > 0 && uint64(a.Stride) < m.l1dLineSize {
 			// Small-stride accesses revisit the same L1D line several
@@ -833,41 +834,71 @@ func (m *Machine) dataRef(cpu *CPU, tid mem.ThreadID, va mem.Addr, write bool) {
 // assumed to hit (the loop body is resident); this captures the code
 // component of the reload transient and code sharing between threads
 // without per-instruction cost.
+//
+// The fetch lane walks the region one page at a time: one TLB charge
+// and one translation per page (both idempotent for the page's later
+// lines), then L1I hit runs (cachesim.Cache.HitRun) that cost one cycle
+// charge per run, with each first miss issued through fetch. An L1I hit
+// touches nothing but the L1I, so the lane is exact on every topology;
+// noFastApply issues every line through fetch, the reference the
+// differential tests compare against.
 func (m *Machine) TouchCode(cpuID int, tid mem.ThreadID, code mem.Range) {
 	if code.Len == 0 {
 		return
 	}
 	cpu := m.cpus[cpuID]
-	lineI := uint64(m.cfg.L1I.LineSize)
-	for va := code.Base; va < code.End(); va += mem.Addr(lineI) {
-		m.tlbProbe(cpu, va)
-		pa := m.translate(va)
-		res := cpu.Hier.Inst(tid, pa, false)
-		switch res.Level {
-		case cachesim.LevelL1:
-			cpu.Cycles += uint64(m.cfg.L1I.HitCycles)
-		case cachesim.LevelL2:
-			cpu.Cycles += uint64(m.cfg.L2.HitCycles)
-			cpu.ERefs++
-			cpu.EHits++
-			cpu.PMU.Record(perfctr.EventECacheRefs, 1)
-			cpu.PMU.Record(perfctr.EventECacheHits, 1)
-		case cachesim.LevelMemory:
-			line := mem.LineAddr(pa, m.l2LineSize)
-			penalty := uint64(m.cfg.MissCycles)
-			if m.dir != nil {
-				if m.fill(line, cpu, false) {
-					penalty = uint64(m.cfg.MissCyclesRemote)
-				}
-				if res.Victim.Valid {
-					m.dropSharer(res.Victim.Line, cpu.ID)
-				}
-			}
-			cpu.Cycles += penalty
-			cpu.ERefs++
-			cpu.EMisses++
-			cpu.PMU.Record(perfctr.EventECacheRefs, 1)
+	lineI := mem.Addr(m.cfg.L1I.LineSize)
+	end := code.End()
+	if m.noFastApply {
+		for va := code.Base; va < end; va += lineI {
+			m.tlbProbe(cpu, va)
+			m.fetch(cpu, tid, m.translate(va))
 		}
+		return
+	}
+	for va := code.Base; va < end; {
+		m.tlbProbe(cpu, va)
+		delta := m.translate(va) - va
+		segEnd := min(end, mem.Addr(uint64(va)|m.pageMask)+1)
+		for va < segEnd {
+			n := int((segEnd - va + lineI - 1) / lineI)
+			h := cpu.Hier.L1I.HitRun(tid, va+delta, n)
+			cpu.Cycles += uint64(h) * uint64(m.cfg.L1I.HitCycles)
+			va += mem.Addr(h) * lineI
+			if h < n {
+				m.fetch(cpu, tid, va+delta)
+				va += lineI
+			}
+		}
+	}
+}
+
+// fetch performs one instruction fetch at physical address pa.
+func (m *Machine) fetch(cpu *CPU, tid mem.ThreadID, pa mem.Addr) {
+	res := cpu.Hier.Inst(tid, pa, false)
+	switch res.Level {
+	case cachesim.LevelL1:
+		cpu.Cycles += uint64(m.cfg.L1I.HitCycles)
+	case cachesim.LevelL2:
+		cpu.Cycles += uint64(m.cfg.L2.HitCycles)
+		cpu.ERefs++
+		cpu.EHits++
+		cpu.PMU.Record(perfctr.EventECacheRefs, 1)
+		cpu.PMU.Record(perfctr.EventECacheHits, 1)
+	case cachesim.LevelMemory:
+		penalty := uint64(m.cfg.MissCycles)
+		if m.dir != nil {
+			if m.fill(mem.LineAddr(pa, m.l2LineSize), cpu, false) {
+				penalty = uint64(m.cfg.MissCyclesRemote)
+			}
+			if res.Victim.Valid {
+				m.dropSharer(res.Victim.Line, cpu.ID)
+			}
+		}
+		cpu.Cycles += penalty
+		cpu.ERefs++
+		cpu.EMisses++
+		cpu.PMU.Record(perfctr.EventECacheRefs, 1)
 	}
 }
 

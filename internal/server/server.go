@@ -462,7 +462,7 @@ func (s *Server) restore() error {
 		m := r.man
 		sess := newSession(m.ID, m.Tenant, m.Config, s.cfg.ObsLogCap)
 		sess.state = m.State
-		if sess.state == StateLive || sess.state == StateMigrating || sess.state == "" {
+		if sess.state == StateLive || sess.state == StateMigrating {
 			sess.state = StateIdle
 		}
 		if sess.state == StateDone || sess.state == StateFailed || sess.state == StateMigrated {

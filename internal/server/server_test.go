@@ -428,6 +428,42 @@ func TestCorruptManifestQuarantined(t *testing.T) {
 	}
 }
 
+// TestStrayManifestQuarantined: a JSON object in the data directory
+// is a manifest only if its ID names its file and its state is one a
+// session can be in. A stray file holding another session's fields,
+// and a manifest with an unknown state, are quarantined at boot like
+// unparseable ones; neither restores as a session.
+func TestStrayManifestQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	good := mustCreate(t, s1, "", testSessionConfig(79))
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	stray := map[string]string{
+		"stray.json":    `{"tenant":"x","state":"failed"}`,
+		"s-999998.json": `{"id":"s-999997","tenant":"x","state":"idle"}`,
+		"s-999999.json": `{"id":"s-999999","tenant":"x","state":"paused"}`,
+	}
+	for name, body := range stray {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := newTestServer(t, func(c *Config) { c.DataDir = dir })
+	if got := s2.List(); len(got) != 1 || got[0].ID != good.ID {
+		t.Errorf("restored %+v, want only %s", got, good.ID)
+	}
+	if n := counterTotal(t, s2, "atsimd_manifests_quarantined_total"); n != uint64(len(stray)) {
+		t.Errorf("atsimd_manifests_quarantined_total = %d, want %d", n, len(stray))
+	}
+	for name := range stray {
+		if _, err := os.Stat(filepath.Join(dir, name+".corrupt")); err != nil {
+			t.Errorf("%s not quarantined: %v", name, err)
+		}
+	}
+}
+
 // TestBootRemovesOldFlightFiles: a data directory written by an older
 // build may hold flight records (<id>.flight.json), one for a live
 // session or one whose session is gone. Boot removes them: read as

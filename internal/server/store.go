@@ -115,6 +115,18 @@ func (st *store) writeManifest(m manifest) error {
 	return st.writeFile(st.manifestPath(m.ID), data)
 }
 
+// check reports why m cannot be the manifest stored as <stem>.json.
+func (m manifest) check(stem string) error {
+	if m.ID != stem {
+		return fmt.Errorf("id %q does not name its file", m.ID)
+	}
+	switch m.State {
+	case StateIdle, StateLive, StateDone, StateFailed, StateMigrating, StateMigrated:
+		return nil
+	}
+	return fmt.Errorf("unknown state %q", m.State)
+}
+
 // fileKind names a data-directory file's role, for crash points.
 func fileKind(path string) string {
 	switch {
@@ -173,11 +185,18 @@ func (st *store) readFile(path string) ([]byte, error) {
 	return out, err
 }
 
+// loadManifest reads and checks the manifest at path. A file that is
+// JSON but no manifest of this directory — its ID is not its file
+// name, or its state is none a session can be in — fails like a
+// corrupt one, so boot quarantines it instead of restoring a session.
 func (st *store) loadManifest(path string) (manifest, error) {
 	var m manifest
 	data, err := st.readFile(path)
 	if err == nil {
 		err = json.Unmarshal(data, &m)
+	}
+	if err == nil {
+		err = m.check(strings.TrimSuffix(filepath.Base(path), ".json"))
 	}
 	if err != nil {
 		return manifest{}, fmt.Errorf("server: loading manifest %s: %w", path, err)

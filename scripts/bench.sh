@@ -15,7 +15,8 @@
 # Besides the root package's table, figure, observability, checkpoint
 # and context-switch benchmarks, the sweep covers the layer benchmarks
 # of other packages: internal/machine's BenchmarkApplySweep* (the cache
-# sweep) and internal/snapshot's BenchmarkCodec (checkpoint sealing and
+# sweep) and BenchmarkTouchCode* (dispatch code fetch), and
+# internal/snapshot's BenchmarkCodec (checkpoint sealing and
 # the receipt codec). Extra go-test args apply to every package.
 #
 # -cpuprofile/-memprofile pass straight through to go test for the root
@@ -49,7 +50,7 @@ out="BENCH_$(date +%F).json"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkApplySweep|BenchmarkCodec' \
+go test -run '^$' -bench 'BenchmarkApplySweep|BenchmarkTouchCode|BenchmarkCodec' \
 	-benchmem -count=3 "$@" ./internal/machine ./internal/snapshot | tee "$raw"
 
 [ -n "$memprofile" ] && set -- -memprofile "$memprofile" "$@"

@@ -31,7 +31,7 @@ pkgs=". internal/machine internal/snapshot"
 benchRegex() {
 	case $1 in
 	.) echo 'BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkObs|BenchmarkCheckpoint|BenchmarkContextSwitch' ;;
-	internal/machine) echo 'BenchmarkApplySweep' ;;
+	internal/machine) echo 'BenchmarkApplySweep|BenchmarkTouchCode' ;;
 	internal/snapshot) echo 'BenchmarkCodec' ;;
 	esac
 }

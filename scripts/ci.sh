@@ -76,6 +76,13 @@ gate ./internal/server 'TestSeqLog|TestObsStreamGapAccounting|TestEventsFollowEn
 gate ./internal/machine 'TestSharedDegenerates'
 gate ./internal/experiments 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS'
 
+# Fast-lane gates: the fused data sweep (dense lane, strided load
+# streak, single references) and TouchCode's fetch lane must match the
+# per-reference path counter for counter and line for line, on the
+# private and shared-llc topologies, and their layer benchmarks must
+# not allocate.
+gate ./internal/machine 'TestFastApplyMatchesPerReference|TestFastApplySharedLLCMatchesPerReference|TestFastTouchCodeMatchesPerLine|TestLaneBenchmarksDoNotAllocate'
+
 # Snapshot format gates: the receipt bytes and section digests stay
 # pinned, Diff names the divergent field or section and misses no
 # receipt field, a hostile or corrupt container fails with a bounded
@@ -106,13 +113,14 @@ gate ./internal/rt 'TestKillResume|TestCheckpointCaptureIsPure'
 # duplicated migration response), each followed by a restart and the
 # invariant checks of docs/SERVICE.md; the two boundary-drift
 # regressions; a done session's leftover receipt and an older build's
-# flight records swept at boot; a Delete that cannot remove the
+# flight records swept at boot; a stray or mismatched manifest
+# quarantined instead of restored; a Delete that cannot remove the
 # manifest leaving the session in place; a session parked past its
 # stall timeout, and a spinner caught although it crosses checkpoint
 # boundaries; an instance whose crash hook fired staying inert; the
 # phase-point kill matrix of a migration; and a restart after an
 # abandoned (killed) server.
-gate ./internal/server 'TestCrashSchedules|TestBoundariesAfterStaleManifest|TestBoundariesAfterLostReceipt|TestDoneReceiptSweptAtBoot|TestBootRemovesOldFlightFiles|TestDeleteReportsManifestRemovalFailure|TestParkedSessionOutlivesStallTimeout|TestCrashedInstanceIsInert'
+gate ./internal/server 'TestCrashSchedules|TestBoundariesAfterStaleManifest|TestBoundariesAfterLostReceipt|TestDoneReceiptSweptAtBoot|TestBootRemovesOldFlightFiles|TestStrayManifestQuarantined|TestDeleteReportsManifestRemovalFailure|TestParkedSessionOutlivesStallTimeout|TestCrashedInstanceIsInert'
 gate ./internal/rt 'TestWatchdogCatchesStepSpinAcrossBoundaries|TestWatchdogStopsWhileParked'
 gate ./internal/server 'TestMigrateKillSource|TestMigrateKillTarget|TestKillRestoreIdentity'
 
