@@ -97,24 +97,31 @@ type Listener interface {
 	Evicted(line mem.Addr, dirty bool)
 }
 
-// line flag bits.
+// slot key bits: a slot's key is (line number + 1) << 2 with the two
+// coherence marks in its low bits, and 0 marks an invalid slot.
 const (
-	flagValid  = 1 << 0
-	flagDirty  = 1 << 1
-	flagShared = 1 << 2 // cached by another CPU (coherence state)
+	keyDirty  = 1 << 0
+	keyShared = 1 << 1 // cached by another CPU (coherence state)
+	keyMarks  = keyDirty | keyShared
+	keyShift  = 2
 )
 
-// slot is one cache line's bookkeeping. Tag, flags and owner share one
-// 16-byte struct (and therefore one hardware cache line per probe) —
-// the simulator's hottest loads — rather than living in parallel
-// arrays. LRU recency lives in a separate side array because the
-// direct-mapped fast lanes never read it; keeping it out of slot makes
-// the hot array a third smaller.
+// slot is one cache line's bookkeeping: the line's identity and both
+// coherence marks packed into one 32-bit key, next to its last
+// accessor — 8 bytes, so one hardware cache line holds eight probes'
+// worth of simulated lines (the simulator's hottest loads). owner is
+// meaningful only while key != 0. LRU recency lives in a separate side
+// array that only associative caches allocate; the direct-mapped fast
+// lanes never read it.
 type slot struct {
-	tag   mem.Addr // line-aligned physical address
+	key   uint32
 	owner mem.ThreadID
-	flags uint8
 }
+
+// holds reports whether s holds the line whose probe key (see probe)
+// is k: one masked compare. The compare is 64-bit, so a line beyond
+// the key's reach (k ≥ 2^32) matches no slot instead of aliasing one.
+func (s *slot) holds(k uint64) bool { return uint64(s.key)&^keyMarks == k }
 
 // Cache is a single set-associative cache. The zero value is unusable;
 // construct with New. Cache is not safe for concurrent use.
@@ -122,7 +129,6 @@ type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
-	sets      int
 	ways      int
 	// direct marks the Assoc==1 fast lane: set index == slot index, no
 	// way scan and no LRU bookkeeping (recency is meaningless with one
@@ -131,13 +137,14 @@ type Cache struct {
 	direct bool
 	// forceGeneric disables the fast lane so the differential tests can
 	// drive the generic way-scan path on an Assoc==1 geometry and
-	// compare. Test-only; never set outside this package.
+	// compare. Test-only, set through useGeneric.
 	forceGeneric bool
 
 	// Slot i of set s lives at index s*ways+i.
 	slots []slot
 	// lastUse[i] is slot i's LRU timestamp; only the generic
-	// (associative) paths read or write it.
+	// (associative) paths read or write it, so direct-mapped caches
+	// leave it nil.
 	lastUse []uint64
 
 	useClock uint64
@@ -158,16 +165,62 @@ func New(cfg Config) *Cache {
 		cfg:       cfg,
 		lineShift: mem.Log2(uint64(cfg.LineSize)),
 		setMask:   uint64(cfg.Sets() - 1),
-		sets:      cfg.Sets(),
 		ways:      cfg.Assoc,
 		direct:    cfg.Assoc == 1,
 		slots:     make([]slot, cfg.Lines()),
-		lastUse:   make([]uint64, cfg.Lines()),
 	}
-	for i := range c.slots {
-		c.slots[i].owner = mem.NilThread
+	if !c.direct {
+		c.lastUse = make([]uint64, cfg.Lines())
 	}
 	return c
+}
+
+// useGeneric pins c to the generic way-scan paths, allocating the LRU
+// stamps they keep. Test-only: the differential tests drive both paths
+// on one direct-mapped geometry and compare.
+func (c *Cache) useGeneric() {
+	c.forceGeneric = true
+	if c.lastUse == nil {
+		c.lastUse = make([]uint64, len(c.slots))
+	}
+}
+
+// lineNum returns the number of the line containing a. lineShift is
+// below 64; masking it spares the shift its out-of-range fixup, and
+// one spelling lets the compiler share the shift between a probe's
+// slot index and its key.
+func (c *Cache) lineNum(a mem.Addr) uint64 { return uint64(a) >> (c.lineShift & 63) }
+
+// probe returns the probe key of the line containing a: its line
+// number plus one, shifted past the mark bits. It exceeds 32 bits for
+// a line beyond the key's reach, which holds therefore never matches.
+func (c *Cache) probe(a mem.Addr) uint64 { return (c.lineNum(a) + 1) << keyShift }
+
+// fillKey returns the unmarked slot key a fill of the line with probe
+// key k stores. A line whose number does not fit the 32-bit key panics
+// here, at the fill, rather than alias another line.
+func (c *Cache) fillKey(k uint64) uint32 {
+	if k>>32 != 0 {
+		c.keyOverflow(k)
+	}
+	return uint32(k)
+}
+
+// keyOverflow is fillKey's cold panic, kept out of line so fillKey
+// inlines into the fill paths.
+//
+//go:noinline
+func (c *Cache) keyOverflow(k uint64) {
+	// Invariant: simulated physical addresses stay below 2^30 lines of
+	// the smallest cache line (16 GB with 16-byte lines); the naive and
+	// careful page mappers synthesize frames densely from zero.
+	panic(fmt.Sprintf("cachesim: %s line key overflow: physical address %#x is beyond the %d-byte reach of a 32-bit slot key",
+		c.cfg.Name, (k>>keyShift-1)<<c.lineShift, uint64(1<<(32-keyShift)-1)<<c.lineShift))
+}
+
+// lineOf returns the line-aligned address a valid slot key names.
+func (c *Cache) lineOf(key uint32) mem.Addr {
+	return mem.Addr(uint64(key>>keyShift)-1) << c.lineShift
 }
 
 // Config returns the cache's configuration.
@@ -189,22 +242,22 @@ func (c *Cache) ValidLines() int { return c.valid }
 func (c *Cache) LineOf(a mem.Addr) mem.Addr { return a >> c.lineShift << c.lineShift }
 
 func (c *Cache) setOf(line mem.Addr) int {
-	return int(uint64(line>>c.lineShift) & c.setMask)
+	return int(c.lineNum(line) & c.setMask)
 }
 
 // find returns the slot index holding line, or -1.
 func (c *Cache) find(line mem.Addr) int {
+	k := c.probe(line)
 	if c.direct && !c.forceGeneric {
 		i := c.setOf(line)
-		if s := &c.slots[i]; s.flags&flagValid != 0 && s.tag == line {
+		if c.slots[i].holds(k) {
 			return i
 		}
 		return -1
 	}
 	base := c.setOf(line) * c.ways
 	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if s := &c.slots[i]; s.flags&flagValid != 0 && s.tag == line {
+		if i := base + w; c.slots[i].holds(k) {
 			return i
 		}
 	}
@@ -238,24 +291,24 @@ func (c *Cache) Lookup(tid mem.ThreadID, a mem.Addr, write bool) bool {
 	s := &c.slots[i]
 	s.owner = tid
 	if write {
-		s.flags |= flagDirty
+		s.key |= keyDirty
 	}
 	return true
 }
 
 // lookupDM is the direct-mapped Lookup fast lane: the set index IS the
-// slot index, so the probe is one tag compare, and the LRU clock is
+// slot index, so the probe is one key compare, and the LRU clock is
 // never advanced (recency cannot influence victim choice in a one-way
 // set). Statistics, classification and ownership attribution are
 // identical to the generic path — the differential tests in
 // cache_fastpath_test.go pin that equivalence.
 func (c *Cache) lookupDM(tid mem.ThreadID, a mem.Addr, write bool) bool {
 	c.stats.Refs++
-	line := a >> c.lineShift << c.lineShift
-	s := &c.slots[uint64(line>>c.lineShift)&c.setMask]
-	if s.flags&flagValid == 0 || s.tag != line {
+	s := &c.slots[c.setOf(a)]
+	if !s.holds(c.probe(a)) {
 		c.stats.Misses++
 		if c.classify != nil {
+			line := c.LineOf(a)
 			c.classify.classify(line)
 			c.classify.touch(line)
 		}
@@ -263,11 +316,11 @@ func (c *Cache) lookupDM(tid mem.ThreadID, a mem.Addr, write bool) bool {
 	}
 	c.stats.Hits++
 	if c.classify != nil {
-		c.classify.touch(line)
+		c.classify.touch(c.LineOf(a))
 	}
 	s.owner = tid
 	if write {
-		s.flags |= flagDirty
+		s.key |= keyDirty
 	}
 	return true
 }
@@ -291,8 +344,8 @@ func (c *Cache) Repeat(tid mem.ThreadID, a mem.Addr, write bool, k int) {
 	line := c.LineOf(a)
 	var i int
 	if c.direct && !c.forceGeneric {
-		i = int(uint64(line>>c.lineShift) & c.setMask)
-		if s := &c.slots[i]; s.flags&flagValid == 0 || s.tag != line {
+		i = c.setOf(line)
+		if !c.slots[i].holds(c.probe(line)) {
 			i = -1
 		}
 	} else {
@@ -320,7 +373,7 @@ func (c *Cache) Repeat(tid mem.ThreadID, a mem.Addr, write bool, k int) {
 	s := &c.slots[i]
 	s.owner = tid
 	if write {
-		s.flags |= flagDirty
+		s.key |= keyDirty
 	}
 }
 
@@ -361,14 +414,15 @@ func (c *Cache) HitRun(tid mem.ThreadID, a mem.Addr, n int) int {
 		return 0
 	}
 	lru := !c.direct || c.forceGeneric
-	line := a >> c.lineShift << c.lineShift
+	ln := c.lineNum(a)
 	h := 0
 	for ; h < n; h++ {
 		// find's way scan, inlined (a direct-mapped set is one way):
 		// the call would cost more than the two-way scan itself.
-		i := int(uint64(line>>c.lineShift)&c.setMask) * c.ways
+		k := (ln + 1) << keyShift
+		i := int(ln&c.setMask) * c.ways
 		end := i + c.ways
-		for i < end && (c.slots[i].flags&flagValid == 0 || c.slots[i].tag != line) {
+		for i < end && !c.slots[i].holds(k) {
 			i++
 		}
 		if i == end {
@@ -379,7 +433,7 @@ func (c *Cache) HitRun(tid mem.ThreadID, a mem.Addr, n int) int {
 			c.lastUse[i] = c.useClock
 		}
 		c.slots[i].owner = tid
-		line += mem.Addr(c.cfg.LineSize)
+		ln++
 	}
 	c.stats.Refs += uint64(h)
 	c.stats.Hits += uint64(h)
@@ -395,14 +449,14 @@ func (c *Cache) Contains(a mem.Addr) bool { return c.find(c.LineOf(a)) >= 0 }
 // without side effects.
 func (c *Cache) IsDirty(a mem.Addr) bool {
 	i := c.find(c.LineOf(a))
-	return i >= 0 && c.slots[i].flags&flagDirty != 0
+	return i >= 0 && c.slots[i].key&keyDirty != 0
 }
 
 // IsShared reports whether the resident line containing a carries the
 // coherence "shared" mark.
 func (c *Cache) IsShared(a mem.Addr) bool {
 	i := c.find(c.LineOf(a))
-	return i >= 0 && c.slots[i].flags&flagShared != 0
+	return i >= 0 && c.slots[i].key&keyShared != 0
 }
 
 // ClearDirty removes the dirty mark from a resident line — a coherence
@@ -410,7 +464,7 @@ func (c *Cache) IsShared(a mem.Addr) bool {
 // is a no-op if the line is absent.
 func (c *Cache) ClearDirty(a mem.Addr) {
 	if i := c.find(c.LineOf(a)); i >= 0 {
-		c.slots[i].flags &^= flagDirty
+		c.slots[i].key &^= keyDirty
 	}
 }
 
@@ -422,9 +476,9 @@ func (c *Cache) SetShared(a mem.Addr, shared bool) {
 		return
 	}
 	if shared {
-		c.slots[i].flags |= flagShared
+		c.slots[i].key |= keyShared
 	} else {
-		c.slots[i].flags &^= flagShared
+		c.slots[i].key &^= keyShared
 	}
 }
 
@@ -446,7 +500,7 @@ func (c *Cache) Insert(tid mem.ThreadID, a mem.Addr, dirty, shared bool) Victim 
 		s := &c.slots[i]
 		s.owner = tid
 		if dirty {
-			s.flags |= flagDirty
+			s.key |= keyDirty
 		}
 		return Victim{}
 	}
@@ -454,12 +508,11 @@ func (c *Cache) Insert(tid mem.ThreadID, a mem.Addr, dirty, shared bool) Victim 
 	idx := -1
 	for w := 0; w < c.ways; w++ {
 		i := base + w
-		if c.slots[i].flags&flagValid == 0 {
+		if c.slots[i].key == 0 {
 			idx = i
 			break
 		}
 	}
-	var victim Victim
 	if idx < 0 {
 		// Evict the LRU way.
 		idx = base
@@ -468,39 +521,10 @@ func (c *Cache) Insert(tid mem.ThreadID, a mem.Addr, dirty, shared bool) Victim 
 				idx = base + w
 			}
 		}
-		v := &c.slots[idx]
-		victim = Victim{
-			Valid: true,
-			Line:  v.tag,
-			Dirty: v.flags&flagDirty != 0,
-			Owner: v.owner,
-		}
-		c.stats.Evictions++
-		if victim.Dirty {
-			c.stats.Writebacks++
-		}
-		c.valid--
-		if c.listener != nil {
-			c.listener.Evicted(victim.Line, victim.Dirty)
-		}
 	}
 	c.useClock++
 	c.lastUse[idx] = c.useClock
-	s := &c.slots[idx]
-	s.tag = line
-	s.flags = flagValid
-	if dirty {
-		s.flags |= flagDirty
-	}
-	if shared {
-		s.flags |= flagShared
-	}
-	s.owner = tid
-	c.valid++
-	if c.listener != nil {
-		c.listener.Filled(line, tid)
-	}
-	return victim
+	return c.fill(&c.slots[idx], line, tid, dirty, shared)
 }
 
 // insertDM is the direct-mapped Insert fast lane: the target slot is
@@ -510,55 +534,49 @@ func (c *Cache) Insert(tid mem.ThreadID, a mem.Addr, dirty, shared bool) Victim 
 // before fill listener), statistics and the returned Victim match the
 // generic path exactly.
 func (c *Cache) insertDM(tid mem.ThreadID, a mem.Addr, dirty, shared bool) Victim {
-	line := a >> c.lineShift << c.lineShift
-	s := &c.slots[uint64(line>>c.lineShift)&c.setMask]
-	if s.flags&flagValid != 0 {
-		if s.tag == line {
-			// Already resident (e.g. refetched after an upgrade);
-			// refresh.
-			s.owner = tid
-			if dirty {
-				s.flags |= flagDirty
-			}
-			return Victim{}
+	s := &c.slots[c.setOf(a)]
+	if s.holds(c.probe(a)) {
+		// Already resident (e.g. refetched after an upgrade); refresh.
+		s.owner = tid
+		if dirty {
+			s.key |= keyDirty
 		}
-		victim := Victim{
-			Valid: true,
-			Line:  s.tag,
-			Dirty: s.flags&flagDirty != 0,
-			Owner: s.owner,
-		}
+		return Victim{}
+	}
+	return c.fill(s, c.LineOf(a), tid, dirty, shared)
+}
+
+// fill writes line into slot s on behalf of tid, under the caller's
+// guarantee that s does not hold line: the tail of every insert path.
+// It displaces the valid line s holds, if any — the returned victim,
+// the eviction statistics and the listener's eviction event, ahead of
+// the fill event.
+func (c *Cache) fill(s *slot, line mem.Addr, tid mem.ThreadID, dirty, shared bool) Victim {
+	key := c.fillKey(c.probe(line))
+	if dirty {
+		key |= keyDirty
+	}
+	if shared {
+		key |= keyShared
+	}
+	var victim Victim
+	if old := s.key; old != 0 {
+		victim = Victim{Valid: true, Line: c.lineOf(old), Dirty: old&keyDirty != 0, Owner: s.owner}
 		c.stats.Evictions++
 		if victim.Dirty {
 			c.stats.Writebacks++
 		}
-		c.valid--
 		if c.listener != nil {
 			c.listener.Evicted(victim.Line, victim.Dirty)
 		}
-		c.fillSlot(s, line, tid, dirty, shared)
-		return victim
+	} else {
+		c.valid++
 	}
-	c.fillSlot(s, line, tid, dirty, shared)
-	return Victim{}
-}
-
-// fillSlot writes a fresh line into slot s (shared tail of the
-// direct-mapped insert paths).
-func (c *Cache) fillSlot(s *slot, line mem.Addr, tid mem.ThreadID, dirty, shared bool) {
-	s.tag = line
-	s.flags = flagValid
-	if dirty {
-		s.flags |= flagDirty
-	}
-	if shared {
-		s.flags |= flagShared
-	}
-	s.owner = tid
-	c.valid++
+	s.key, s.owner = key, tid
 	if c.listener != nil {
 		c.listener.Filled(line, tid)
 	}
+	return victim
 }
 
 // Invalidate removes the line containing a if resident, reporting
@@ -570,11 +588,16 @@ func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
 	if i < 0 {
 		return false, false
 	}
-	s := &c.slots[i]
-	dirty = s.flags&flagDirty != 0
-	line := s.tag
-	s.flags = 0
-	s.owner = mem.NilThread
+	return true, c.drop(&c.slots[i])
+}
+
+// drop invalidates the valid line in slot s, counting the invalidation
+// (and its write-back when dirty) and notifying the listener. It
+// reports whether the line was dirty.
+func (c *Cache) drop(s *slot) (dirty bool) {
+	dirty = s.key&keyDirty != 0
+	line := c.lineOf(s.key)
+	s.key = 0
 	c.valid--
 	c.stats.Invalidations++
 	if dirty {
@@ -583,7 +606,7 @@ func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
 	if c.listener != nil {
 		c.listener.Evicted(line, dirty)
 	}
-	return true, dirty
+	return dirty
 }
 
 // InvalidateSpan invalidates every line of this cache overlapping the
@@ -609,23 +632,13 @@ func (c *Cache) InvalidateSpan(base mem.Addr, n uint64) int {
 // outer-cache eviction, so this sits on the miss path).
 func (c *Cache) invalidateSpanDM(base mem.Addr, n uint64) int {
 	count := 0
+	k := c.probe(base)
 	for line := base >> c.lineShift << c.lineShift; line < base+mem.Addr(n); line += mem.Addr(c.cfg.LineSize) {
-		s := &c.slots[uint64(line>>c.lineShift)&c.setMask]
-		if s.flags&flagValid == 0 || s.tag != line {
-			continue
+		if s := &c.slots[(k>>keyShift-1)&c.setMask]; s.holds(k) {
+			c.drop(s)
+			count++
 		}
-		dirty := s.flags&flagDirty != 0
-		s.flags = 0
-		s.owner = mem.NilThread
-		c.valid--
-		c.stats.Invalidations++
-		if dirty {
-			c.stats.Writebacks++
-		}
-		if c.listener != nil {
-			c.listener.Evicted(line, dirty)
-		}
-		count++
+		k += 1 << keyShift
 	}
 	return count
 }
@@ -634,30 +647,18 @@ func (c *Cache) invalidateSpanDM(base mem.Addr, n uint64) int {
 // sees an eviction for each valid line.
 func (c *Cache) Flush() {
 	for i := range c.slots {
-		s := &c.slots[i]
-		if s.flags&flagValid == 0 {
-			continue
+		if c.slots[i].key != 0 {
+			c.drop(&c.slots[i])
 		}
-		dirty := s.flags&flagDirty != 0
-		if dirty {
-			c.stats.Writebacks++
-		}
-		c.stats.Invalidations++
-		if c.listener != nil {
-			c.listener.Evicted(s.tag, dirty)
-		}
-		s.flags = 0
-		s.owner = mem.NilThread
 	}
-	c.valid = 0
 }
 
 // ForEachValidLine calls fn for every resident line with its
 // line-aligned address and last accessor, in slot order.
 func (c *Cache) ForEachValidLine(fn func(line mem.Addr, owner mem.ThreadID)) {
 	for i := range c.slots {
-		if c.slots[i].flags&flagValid != 0 {
-			fn(c.slots[i].tag, c.slots[i].owner)
+		if s := c.slots[i]; s.key != 0 {
+			fn(c.lineOf(s.key), s.owner)
 		}
 	}
 }
@@ -669,7 +670,7 @@ func (c *Cache) ForEachValidLine(fn func(line mem.Addr, owner mem.ThreadID)) {
 func (c *Cache) OwnerFootprint(tid mem.ThreadID) int {
 	n := 0
 	for i := range c.slots {
-		if c.slots[i].flags&flagValid != 0 && c.slots[i].owner == tid {
+		if c.slots[i].key != 0 && c.slots[i].owner == tid {
 			n++
 		}
 	}

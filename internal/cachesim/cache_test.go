@@ -1,8 +1,10 @@
 package cachesim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/xrand"
@@ -310,6 +312,84 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 			if total != c.ValidLines() {
 				t.Fatalf("step %d: reference %d lines, cache %d", i, total, c.ValidLines())
 			}
+		}
+	}
+}
+
+// e5000 returns one CPU's cache geometry on the paper's Enterprise
+// 5000: a 2-way L1I, a direct-mapped L1D and a direct-mapped E-cache.
+func e5000() (l1i, l1d, l2 Config) {
+	return Config{Name: "L1I", Size: 16 << 10, LineSize: 32, Assoc: 2, HitCycles: 1},
+		Config{Name: "L1D", Size: 16 << 10, LineSize: 16, Assoc: 1, HitCycles: 1},
+		Config{Name: "E", Size: 512 << 10, LineSize: 64, Assoc: 1, HitCycles: 6}
+}
+
+// TestSlotLayout pins the per-line state: an 8-byte slot, and LRU
+// stamps only on the caches that run LRU (associative geometries and a
+// cache pinned to the generic path).
+func TestSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n != 8 {
+		t.Fatalf("slot is %d bytes, want 8", n)
+	}
+	l1i, l1d, l2 := e5000()
+	h := NewHierarchy(l1i, l1d, l2)
+	stamps := func(name string, c *Cache, want bool) {
+		t.Helper()
+		if got := c.lastUse != nil; got != want || want && len(c.lastUse) != len(c.slots) {
+			t.Errorf("%s: %d LRU stamps for %d lines, want stamps=%v", name, len(c.lastUse), len(c.slots), want)
+		}
+	}
+	stamps("L1I (2-way)", h.L1I, true)
+	stamps("L1D (direct-mapped)", h.L1D, false)
+	stamps("E (direct-mapped)", h.L2, false)
+	stamps("shared-llc", NewSharedL2(l2, 2).Cache(), false)
+	stamps("shared-assoc:4", NewSharedL2(Topology{Kind: TopoSharedAssoc, Ways: 4}.L2Config(l2), 2).Cache(), true)
+	stamps("shared-fa", NewSharedL2(Topology{Kind: TopoSharedFA}.L2Config(l2), 2).Cache(), true)
+	g := New(l1d)
+	g.useGeneric()
+	stamps("L1D pinned generic", g, true)
+}
+
+// TestLineKeyGuard drives the packed key to its limit with synthetic
+// physical addresses (no simulated memory behind them): the highest
+// line the 32-bit key holds round-trips through the slot, and the
+// first line past it neither aliases the resident line it wraps onto
+// nor fills — its fill panics with the named message.
+func TestLineKeyGuard(t *testing.T) {
+	_, l1d, _ := e5000()
+	reach := mem.Addr(1<<30-1) << 4 // 16-byte lines
+	for _, generic := range []bool{false, true} {
+		c := New(l1d)
+		if generic {
+			c.useGeneric()
+		}
+		top := reach - 16
+		c.Insert(1, top, true, false)
+		var lines []mem.Addr
+		c.ForEachValidLine(func(line mem.Addr, _ mem.ThreadID) { lines = append(lines, line) })
+		if len(lines) != 1 || lines[0] != top || !c.IsDirty(top) {
+			t.Fatalf("generic=%v: highest line %#x came back as %#x", generic, top, lines)
+		}
+		if v := c.Insert(2, top-mem.Addr(l1d.Size), false, false); v.Line != top || !v.Dirty || v.Owner != 1 {
+			t.Fatalf("generic=%v: victim %+v, want %#x dirty owned by t1", generic, v, top)
+		}
+
+		// A line 2^30 lines above a resident one wraps onto its key.
+		c.Insert(1, 0x40, false, false)
+		alias := 0x40 + mem.Addr(1<<30)<<4
+		if c.Lookup(1, alias, false) || c.Contains(alias) {
+			t.Fatalf("generic=%v: %#x aliased resident line 0x40", generic, alias)
+		}
+		for _, a := range []mem.Addr{reach, alias} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "L1D line key overflow") {
+						t.Errorf("generic=%v: fill of %#x: panic %q, want a line key overflow", generic, a, msg)
+					}
+				}()
+				c.Insert(1, a, false, false)
+			}()
 		}
 	}
 }

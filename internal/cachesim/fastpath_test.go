@@ -10,7 +10,7 @@ import (
 // The direct-mapped fast lanes (lookupDM, insertDM, the inlined probe in
 // Repeat, and Hierarchy.dataDM) must be observationally identical to the
 // generic way-scan paths on an Assoc==1 geometry. These tests drive both
-// implementations — forceGeneric pins a cache to the generic path — with
+// implementations — useGeneric pins a cache to the generic path — with
 // the same pseudo-random operation stream and require every observable
 // to match: statistics, return values, listener event order, residency,
 // dirty/shared/owner state, and classification.
@@ -56,7 +56,7 @@ func snapshot(c *Cache) string {
 func TestDirectMappedFastLaneDifferential(t *testing.T) {
 	fast := New(dmConfig())
 	slow := New(dmConfig())
-	slow.forceGeneric = true
+	slow.useGeneric()
 	if fast.direct != true || slow.direct != true {
 		t.Fatal("both caches should report a direct-mapped geometry")
 	}
@@ -150,7 +150,7 @@ func TestDirectMappedFastLaneDifferential(t *testing.T) {
 func TestDirectMappedInsertVictims(t *testing.T) {
 	fast := New(dmConfig())
 	slow := New(dmConfig())
-	slow.forceGeneric = true
+	slow.useGeneric()
 	rng := lcg(99)
 	for step := 0; step < 8000; step++ {
 		a := mem.Addr(rng.next() % (32 * 1024))
@@ -182,8 +182,8 @@ func TestHierarchyDataDMDifferential(t *testing.T) {
 	}
 	fast := mk()
 	slow := mk()
-	slow.L1D.forceGeneric = true
-	slow.L2.forceGeneric = true
+	slow.L1D.useGeneric()
+	slow.L2.useGeneric()
 	if !fast.dmData {
 		t.Fatal("geometry should enable the data fast lane")
 	}

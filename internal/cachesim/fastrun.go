@@ -243,9 +243,10 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 						}
 						pa := pva + pageDelta
 						line1 := pa >> d.lineShift << d.lineShift
-						idx := uint64(line1>>d.lineShift) & d.setMask
+						idx := d.lineNum(line1) & d.setMask
+						k1 := d.probe(line1)
 						m := 0
-						if s1 := &d.slots[idx]; s1.flags&flagValid != 0 && s1.tag == line1 {
+						if d.slots[idx].holds(k1) {
 							// First probe hits: bound the streak to this
 							// page (the limit division is only paid when a
 							// streak actually starts) and walk.
@@ -254,12 +255,12 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 								limit = groups
 							}
 							for g+m < limit {
-								s1 = &d.slots[idx]
-								if s1.flags&flagValid == 0 || s1.tag != line1 {
+								s1 := &d.slots[idx]
+								if !s1.holds(k1) {
 									break
 								}
 								s1.owner = tid
-								line1 += mem.Addr(ls)
+								k1 += 1 << keyShift
 								idx = (idx + 1) & d.setMask
 								m++
 							}
@@ -273,7 +274,7 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 							if !carryOK || lastLine2 != curLine2 {
 								curLine2, carryOK, l2Resident = lastLine2, true, false
 							}
-							curLine1, l1Carry, l1CarryHit = line1-mem.Addr(ls), true, true
+							curLine1, l1Carry, l1CarryHit = line1+mem.Addr(uint64(m-1)*ls), true, true
 							va += mem.Addr(uint64(m) * ls)
 							i += m * densePerLine
 							g += m
@@ -314,11 +315,12 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 						curLine2, carryOK, l2Resident = line2, true, false
 					}
 					dRefs += puk
-					s1 := &d.slots[uint64(line1>>d.lineShift)&d.setMask]
+					s1 := &d.slots[d.setOf(line1)]
+					k1 := d.probe(line1)
 					curLine1, l1Carry = line1, true
 					if !write {
 						l1CarryHit = true
-						if s1.flags&flagValid != 0 && s1.tag == line1 {
+						if s1.holds(k1) {
 							dHits += puk
 							s1.owner = tid
 							out.L1Refs += puk
@@ -331,8 +333,8 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 								eHits++
 								out.L2HitRefs++
 							} else {
-								i2 := int(uint64(line2>>e.lineShift) & e.setMask)
-								if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
+								i2 := e.setOf(line2)
+								if s2 := &e.slots[i2]; s2.holds(e.probe(line2)) {
 									eHits++
 									out.L2HitRefs++
 									s2.owner = tid
@@ -350,18 +352,18 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 								}
 								l2Resident = true
 							}
-							if s1.flags&flagValid != 0 {
+							if s1.key != 0 {
 								d.stats.Evictions++
-								if s1.flags&flagDirty != 0 {
+								if s1.key&keyDirty != 0 {
 									d.stats.Writebacks++
 								}
 							} else {
 								d.valid++
 							}
-							s1.tag, s1.flags, s1.owner = line1, flagValid, tid
+							s1.key, s1.owner = d.fillKey(k1), tid
 						}
 					} else {
-						l1hit := s1.flags&flagValid != 0 && s1.tag == line1
+						l1hit := s1.holds(k1)
 						l1CarryHit = l1hit
 						if l1hit {
 							dHits += puk
@@ -374,19 +376,19 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 							eHits += puk
 							out.L2HitRefs += puk
 						} else {
-							i2 := int(uint64(line2>>e.lineShift) & e.setMask)
-							if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
+							i2 := e.setOf(line2)
+							if s2 := &e.slots[i2]; s2.holds(e.probe(line2)) {
 								eHits += puk
 								out.L2HitRefs += puk
 								if sh != nil {
 									sh.storeHit(cpu, i2, line2)
-								} else if s2.flags&flagShared != 0 {
-									s2.flags &^= flagShared
+								} else if s2.key&keyShared != 0 {
+									s2.key &^= keyShared
 									if coherent {
 										env.SharedStore(line2)
 									}
 								}
-								s2.flags |= flagDirty
+								s2.key |= keyDirty
 								s2.owner = tid
 								if coherent {
 									env.DirtyStore(line2)
@@ -425,23 +427,24 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 				pageDelta = env.TranslatePage(va) - va
 				curVPage = vp
 			}
-			line1 := (va + pageDelta) >> d.lineShift << d.lineShift
+			ln := d.lineNum(va + pageDelta)
+			step := stride >> d.lineShift
 			n := min(count-i, int((pageSize-1-uint64(va)&(pageSize-1))>>strideShift)+1)
 			h := 0
 			for ; h < n; h++ {
-				s1 := &d.slots[uint64(line1>>d.lineShift)&d.setMask]
-				if s1.flags&flagValid == 0 || s1.tag != line1 {
+				s1 := &d.slots[ln&d.setMask]
+				if !s1.holds((ln + 1) << keyShift) {
 					break
 				}
 				s1.owner = tid
-				line1 += mem.Addr(stride)
+				ln += step
 			}
 			if h > 0 {
 				uh := uint64(h)
 				dRefs += uh
 				dHits += uh
 				out.L1Refs += uh
-				last := line1 - mem.Addr(stride)
+				last := mem.Addr(ln-step) << d.lineShift
 				if line2 := last >> e.lineShift << e.lineShift; !carryOK || line2 != curLine2 {
 					curLine2, carryOK, l2Resident = line2, true, false
 				}
@@ -505,8 +508,9 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 					continue
 				}
 				curLine1, l1Carry, l1CarryHit = line1, true, true
-				s1 := &d.slots[uint64(line1>>d.lineShift)&d.setMask]
-				if s1.flags&flagValid != 0 && s1.tag == line1 {
+				s1 := &d.slots[d.setOf(line1)]
+				k1 := d.probe(line1)
+				if s1.holds(k1) {
 					// Load run satisfied by the L1D: k hits, no L2 traffic.
 					dHits += uk
 					s1.owner = tid
@@ -535,8 +539,8 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 						e.classify.touch(line2)
 					}
 				} else {
-					i2 := int(uint64(line2>>e.lineShift) & e.setMask)
-					if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
+					i2 := e.setOf(line2)
+					if s2 := &e.slots[i2]; s2.holds(e.probe(line2)) {
 						eHits++
 						out.L2HitRefs++
 						s2.owner = tid
@@ -572,22 +576,20 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 				// victim must be read from the slot's state now). With no
 				// listener attached (the machine only listens on the L2)
 				// the fill inlines to the slot update and its statistics
-				// — exactly what fillMissedDM plus fillSlot would do,
-				// minus their calls and the victim value nobody consumes.
+				// — exactly what fill would do, minus its call and the
+				// victim value nobody consumes.
 				if d.listener == nil {
-					if s1.flags&flagValid != 0 {
+					if s1.key != 0 {
 						d.stats.Evictions++
-						if s1.flags&flagDirty != 0 {
+						if s1.key&keyDirty != 0 {
 							d.stats.Writebacks++
 						}
 					} else {
 						d.valid++
 					}
-					s1.tag = line1
-					s1.flags = flagValid
-					s1.owner = tid
+					s1.key, s1.owner = d.fillKey(k1), tid
 				} else {
-					d.fillMissedDM(s1, line1, tid, false, false)
+					d.fill(s1, line1, tid, false, false)
 				}
 				continue
 			}
@@ -616,8 +618,8 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 					}
 				}
 			} else {
-				s1 := &d.slots[uint64(line1>>d.lineShift)&d.setMask]
-				l1hit = s1.flags&flagValid != 0 && s1.tag == line1
+				s1 := &d.slots[d.setOf(line1)]
+				l1hit = s1.holds(d.probe(line1))
 				curLine1, l1Carry, l1CarryHit = line1, true, l1hit
 				if l1hit {
 					dHits += uk
@@ -649,8 +651,8 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 				}
 				continue
 			}
-			i2 := int(uint64(line2>>e.lineShift) & e.setMask)
-			if s2 := &e.slots[i2]; s2.flags&flagValid != 0 && s2.tag == line2 {
+			i2 := e.setOf(line2)
+			if s2 := &e.slots[i2]; s2.holds(e.probe(line2)) {
 				eHits += uk
 				out.L2HitRefs += uk
 				if sh != nil {
@@ -658,17 +660,17 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 					// which a line held only by another CPU lacks)
 					// names the L1 copies to invalidate.
 					sh.storeHit(cpu, i2, line2)
-				} else if s2.flags&flagShared != 0 {
+				} else if s2.key&keyShared != 0 {
 					// Store to a line cached shared: clear the local mark
 					// and have the machine invalidate the other copies (the
 					// per-reference path does this before its probe; the
 					// two orders touch disjoint state and commute).
-					s2.flags &^= flagShared
+					s2.key &^= keyShared
 					if coherent {
 						env.SharedStore(line2)
 					}
 				}
-				s2.flags |= flagDirty
+				s2.key |= keyDirty
 				s2.owner = tid
 				if e.classify != nil {
 					e.classify.touch(line2)
@@ -715,7 +717,7 @@ func (h *Hierarchy) SweepDM(env SweepEnv, tid mem.ThreadID, a mem.Access, pageSh
 // becomes the line's sole sharer).
 func (h *Hierarchy) fillL2Slot(i int, line mem.Addr, tid mem.ThreadID, write bool) Victim {
 	e := h.L2
-	victim := e.fillMissedDM(&e.slots[i], line, tid, write, false)
+	victim := e.fill(&e.slots[i], line, tid, write, false)
 	if h.shared != nil {
 		h.shared.filled(h.cpu, i, victim)
 	} else if victim.Valid {
@@ -724,32 +726,4 @@ func (h *Hierarchy) fillL2Slot(i int, line mem.Addr, tid mem.ThreadID, write boo
 		h.L1D.InvalidateSpan(victim.Line, span)
 	}
 	return victim
-}
-
-// fillMissedDM fills line into the probed slot s of a direct-mapped
-// cache, under the caller's guarantee that s does not currently hold
-// line (the probe just missed). It is insertDM minus the resident
-// check and the slot re-derivation, returning the displaced victim if
-// s held another valid line.
-func (c *Cache) fillMissedDM(s *slot, line mem.Addr, tid mem.ThreadID, dirty, shared bool) Victim {
-	if s.flags&flagValid != 0 {
-		victim := Victim{
-			Valid: true,
-			Line:  s.tag,
-			Dirty: s.flags&flagDirty != 0,
-			Owner: s.owner,
-		}
-		c.stats.Evictions++
-		if victim.Dirty {
-			c.stats.Writebacks++
-		}
-		c.valid--
-		if c.listener != nil {
-			c.listener.Evicted(victim.Line, victim.Dirty)
-		}
-		c.fillSlot(s, line, tid, dirty, shared)
-		return victim
-	}
-	c.fillSlot(s, line, tid, dirty, shared)
-	return Victim{}
 }

@@ -258,13 +258,12 @@ func (h *Hierarchy) Flush() {
 // ok=true. It is an O(cache size) diagnostic for tests.
 func (h *Hierarchy) CheckInclusion() (violation mem.Addr, ok bool) {
 	for _, l1 := range []*Cache{h.L1I, h.L1D} {
-		for i := range l1.slots {
-			s := &l1.slots[i]
-			if s.flags&flagValid == 0 {
+		for _, s := range l1.slots {
+			if s.key == 0 {
 				continue
 			}
-			if !h.L2.Contains(s.tag) {
-				return s.tag, false
+			if line := l1.lineOf(s.key); !h.L2.Contains(line) {
+				return line, false
 			}
 		}
 	}

@@ -221,7 +221,7 @@ func (sh *SharedL2) readHit(cpu, i int) {
 	w := sh.mask(i)
 	w[uint(cpu)>>6] |= 1 << (uint(cpu) & 63)
 	if maskCount(w) > 1 {
-		sh.cache.slots[i].flags |= flagShared
+		sh.cache.slots[i].key |= keyShared
 	}
 }
 
@@ -246,7 +246,7 @@ func (sh *SharedL2) storeHit(cpu, i int, line mem.Addr) {
 	sh.invalidateL1Span(w, cpu, line, uint64(sh.cache.cfg.LineSize))
 	clear(w)
 	w[uint(cpu)>>6] = 1 << (uint(cpu) & 63)
-	sh.cache.slots[i].flags &^= flagShared
+	sh.cache.slots[i].key &^= keyShared
 }
 
 // fill inserts the line containing a on behalf of (cpu, tid) after a

@@ -102,3 +102,16 @@ func TestLaneBenchmarksDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+var machineSink *Machine
+
+// BenchmarkMachineNew builds the paper's machine at two CPUs. Its
+// bytes are almost all per-CPU cache state — slots and, for the
+// associative L1I, LRU stamps — so B/op tracks the simulator's memory
+// per simulated line.
+func BenchmarkMachineNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		machineSink = New(Enterprise5000(2))
+	}
+}

@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/perfctr"
+	"repro/internal/vm"
 	"repro/internal/xrand"
 )
 
@@ -479,5 +481,34 @@ func TestCoherenceThreeCPUChain(t *testing.T) {
 	}
 	if err := m.CheckCoherence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhysicalLineKeyGuard reaches the caches' packed-key limit through
+// the machine with identity-mapped synthetic addresses (one CPU, so no
+// directory pages back them): a load beyond the E-cache key's reach
+// panics at the E-cache fill, and one beyond only the 16-byte L1D
+// line's reach panics at the L1D fill, on the fused sweep and on the
+// per-reference path alike.
+func TestPhysicalLineKeyGuard(t *testing.T) {
+	for _, c := range []struct {
+		va    mem.Addr
+		cache string
+	}{{1 << 36, "E"}, {20 << 30, "L1D"}} {
+		for _, slow := range []bool{false, true} {
+			cfg := Enterprise5000(1)
+			cfg.PagePolicy = vm.Identity
+			m := New(cfg)
+			m.noFastApply = slow
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, c.cache+" line key overflow") {
+						t.Errorf("load at %#x (noFastApply=%v): panic %q, want a %s line key overflow", c.va, slow, msg, c.cache)
+					}
+				}()
+				m.Apply(0, 1, mem.Batch{{Base: c.va, Count: 1, Size: 8}})
+			}()
+		}
 	}
 }

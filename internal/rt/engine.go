@@ -24,7 +24,6 @@
 package rt
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -625,7 +624,7 @@ func (e *Engine) unparkAll(now uint64) {
 // pending, idle the machine forward to it and fire; otherwise the
 // system is deadlocked.
 func (e *Engine) advanceToTimer() bool {
-	if e.timers.Len() == 0 {
+	if len(e.timers) == 0 {
 		return false
 	}
 	wake := e.timers[0].wakeAt
@@ -639,8 +638,8 @@ func (e *Engine) advanceToTimer() bool {
 // machine was parked); it only places trace events.
 func (e *Engine) fireTimers(now uint64, cpu int) {
 	woke := false
-	for e.timers.Len() > 0 && e.timers[0].wakeAt <= now {
-		tm := heap.Pop(&e.timers).(timerEntry)
+	for len(e.timers) > 0 && e.timers[0].wakeAt <= now {
+		tm := e.timers.pop()
 		t := e.threads[tm.tid]
 		if t == nil || t.status != statusBlocked {
 			continue
@@ -905,7 +904,7 @@ func (e *Engine) handle(p int, t *T, req *request) {
 		t.status = statusBlocked
 		t.blockedOn = "sleep"
 		e.timerSeq++
-		heap.Push(&e.timers, timerEntry{wakeAt: e.cpus[p].Cycles() + req.n, seq: e.timerSeq, tid: t.id})
+		e.timers.push(timerEntry{wakeAt: e.cpus[p].Cycles() + req.n, seq: e.timerSeq, tid: t.id})
 
 	case reqJoin:
 		if req.tid == t.id {
@@ -1155,21 +1154,53 @@ type timerEntry struct {
 	tid    mem.ThreadID
 }
 
+// timerQueue is a binary min-heap of sleep deadlines ordered by
+// (wakeAt, seq), typed so no entry is boxed. push and pop sift exactly
+// as container/heap's Push and Pop do: CaptureState walks the array in
+// order, so the layout feeds the timers section digest.
 type timerQueue []timerEntry
 
-func (q timerQueue) Len() int { return len(q) }
-func (q timerQueue) Less(i, j int) bool {
+func (q timerQueue) less(i, j int) bool {
 	if q[i].wakeAt != q[j].wakeAt {
 		return q[i].wakeAt < q[j].wakeAt
 	}
 	return q[i].seq < q[j].seq
 }
-func (q timerQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *timerQueue) Push(x any)   { *q = append(*q, x.(timerEntry)) }
-func (q *timerQueue) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+
+// push adds tm and sifts it up.
+func (q *timerQueue) push(tm timerEntry) {
+	*q = append(*q, tm)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest deadline: the last entry moves
+// to the root and sifts down over the remaining n entries.
+func (q *timerQueue) pop() timerEntry {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }

@@ -168,7 +168,7 @@ func (e *Engine) stallError() error {
 		}
 	}
 	fmt.Fprintf(&b, "  %d live threads, %d blocked, %d runnable, %d timers pending",
-		e.live, blocked, e.sched.RunnableCount(), e.timers.Len())
+		e.live, blocked, e.sched.RunnableCount(), len(e.timers))
 	return fmt.Errorf("rt: stalled: no dispatch in %v of wall time (step %d, cycle %d, %d dispatches so far); state:\n%s",
 		e.opts.StallTimeout, e.steps, e.now, e.totalDispatches(), b.String())
 }

@@ -15,9 +15,10 @@
 # Besides the root package's table, figure, observability, checkpoint
 # and context-switch benchmarks, the sweep covers the layer benchmarks
 # of other packages: internal/machine's BenchmarkApplySweep* (the cache
-# sweep) and BenchmarkTouchCode* (dispatch code fetch), and
-# internal/snapshot's BenchmarkCodec (checkpoint sealing and
-# the receipt codec). Extra go-test args apply to every package.
+# sweep), BenchmarkTouchCode* (dispatch code fetch) and
+# BenchmarkMachineNew (per-CPU cache state: its B/op is the simulator's
+# memory per simulated line), and internal/snapshot's BenchmarkCodec
+# (checkpoint sealing and the receipt codec). Extra go-test args apply to every package.
 #
 # -cpuprofile/-memprofile pass straight through to go test for the root
 # package (go test profiles one package per run); inspect the result
@@ -50,7 +51,7 @@ out="BENCH_$(date +%F).json"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'BenchmarkApplySweep|BenchmarkTouchCode|BenchmarkCodec' \
+go test -run '^$' -bench 'BenchmarkApplySweep|BenchmarkTouchCode|BenchmarkMachineNew|BenchmarkCodec' \
 	-benchmem -count=3 "$@" ./internal/machine ./internal/snapshot | tee "$raw"
 
 [ -n "$memprofile" ] && set -- -memprofile "$memprofile" "$@"

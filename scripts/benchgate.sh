@@ -31,7 +31,7 @@ pkgs=". internal/machine internal/snapshot"
 benchRegex() {
 	case $1 in
 	.) echo 'BenchmarkTable|BenchmarkFig|BenchmarkAblation|BenchmarkObs|BenchmarkCheckpoint|BenchmarkContextSwitch' ;;
-	internal/machine) echo 'BenchmarkApplySweep|BenchmarkTouchCode' ;;
+	internal/machine) echo 'BenchmarkApplySweep|BenchmarkTouchCode|BenchmarkMachineNew' ;;
 	internal/snapshot) echo 'BenchmarkCodec' ;;
 	esac
 }

@@ -83,6 +83,17 @@ gate ./internal/experiments 'TestSharedLLCAccuracy|TestSharedPoliciesBeatFCFS'
 # not allocate.
 gate ./internal/machine 'TestFastApplyMatchesPerReference|TestFastApplySharedLLCMatchesPerReference|TestFastTouchCodeMatchesPerLine|TestLaneBenchmarksDoNotAllocate'
 
+# Packed-slot gates: a simulated cache line is an 8-byte slot, and only
+# caches that run LRU carry stamps; a physical line beyond the 32-bit
+# slot key's reach panics at its fill instead of aliasing a resident
+# line, in the cache and through the machine on both data paths.
+gate ./internal/cachesim 'TestSlotLayout|TestLineKeyGuard'
+gate ./internal/machine 'TestPhysicalLineKeyGuard'
+
+# Timer-order gate: rt's typed timer heap keeps container/heap's exact
+# array layout, which the checkpoint's timers section digest covers.
+gate ./internal/rt 'TestTimerHeapMatchesContainerHeap'
+
 # Snapshot format gates: the receipt bytes and section digests stay
 # pinned, Diff names the divergent field or section and misses no
 # receipt field, a hostile or corrupt container fails with a bounded
